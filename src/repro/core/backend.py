@@ -19,7 +19,14 @@ semantics that both backends must reproduce.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Protocol, Tuple, runtime_checkable
+from typing import (
+    Iterable,
+    Iterator,
+    List,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 from .config import MergeScheduler, RapConfig
 from .node import RapNode
@@ -79,6 +86,11 @@ class TreeBackend(Protocol):
     def nodes(self) -> Iterator[RapNode]: ...
 
     def leaves(self) -> Iterator[RapNode]: ...
+
+    def heavy_leaves(self, min_weight: float) -> List[Tuple[int, int, int]]:
+        """``(lo, hi, count)`` of leaves with ``count >= min_weight``,
+        heaviest first, equal counts in ``lo`` order."""
+        ...
 
     def total_weight(self) -> int: ...
 

@@ -33,8 +33,9 @@ splits queue positioned-insert splices on ``_cov_pending`` (a split
 node's owned region is exactly its missing partition cells), and merge
 passes remap every segment to the nearest surviving ancestor of its old
 owner and coalesce equal-owner runs — no wholesale rebuild on either
-path (``_rebuild_cover`` survives only as the oracle that
-``check_invariants`` compares against).
+path. ``_rebuild_cover`` serves as the oracle that ``check_invariants``
+compares against, and builds the index once, on first use, for a tree
+wrapped by ``attach_columns``.
 
 Batch ingest (`extend` / `add_counted` / `add_batch`) consumes one
 *window* per round. The round routes the window through the cover
@@ -176,8 +177,10 @@ class ColumnarRapTree:
     Implements the :class:`repro.core.backend.TreeBackend` protocol.
     ``root``/``nodes()``/``leaves()`` materialize a read-only
     :class:`~repro.core.node.RapNode` view of the columns (cached per
-    mutation generation) so serialization, auditing and folds treat both
-    backends identically. Mutating the view does not affect the tree.
+    mutation generation) so serialization, auditing and mixed-backend
+    folds treat both backends identically (an all-columnar fold reads the
+    columns instead, see :meth:`fold_columns`). Mutating the view does
+    not affect the tree.
     """
 
     #: dtype of every slot column plus the free stack, in
@@ -468,7 +471,8 @@ class ColumnarRapTree:
         The incremental splices (split inserts in ``_sync_cover``, the
         merge remap in ``_merge_frontier``) keep the live index equal to
         this recursive emission; ``check_invariants`` asserts exactly
-        that, so this survives as the oracle, not a maintenance path.
+        that, so this is the oracle, not a maintenance path. Its one
+        other caller builds the index of an attached tree on first use.
         """
         starts: List[int] = []
         owners: List[int] = []
@@ -508,7 +512,15 @@ class ColumnarRapTree:
         positioned insert per vectorized round instead of one per split;
         a fresh child that itself split later in the same batch
         contributes no segment (its own children do).
+
+        A tree wrapped by :meth:`attach_columns` has no cover index yet
+        (``_cov_starts is None``): folds and estimates never read it, so
+        it is built here, from the chains, the first time something does.
         """
+        if self._cov_starts is None:
+            self._cov_pending = []
+            self._rebuild_cover()
+            return
         pending = self._cov_pending
         if not pending:
             return
@@ -607,11 +619,9 @@ class ColumnarRapTree:
         signature compatibility across backends but only the model
         (:meth:`modeled_memory_bytes`) uses it.
         """
-        total = (
-            self._free_slots.nbytes
-            + self._cov_starts.nbytes
-            + self._cov_owner.nbytes
-        )
+        total = self._free_slots.nbytes
+        if self._cov_starts is not None:
+            total += self._cov_starts.nbytes + self._cov_owner.nbytes
         for name in _ARRAY_COLUMNS:
             total += getattr(self, name).nbytes
         return total
@@ -726,7 +736,9 @@ class ColumnarRapTree:
         :meth:`clone` (which copies the columns into a writable
         heap-backed tree). The attached arrays are marked read-only so
         an accidental mutation of live worker state raises immediately
-        instead of corrupting the shard.
+        instead of corrupting the shard. The cover index is left unbuilt
+        until something reads it (see :meth:`_sync_cover`): a fold
+        attaches every shard on every snapshot and never needs one.
         """
         tree = cls(config)
         capacity = int(state["capacity"])
@@ -755,7 +767,189 @@ class ColumnarRapTree:
         tree._view_root = None
         tree._view_generation = -1
         tree._rebind_views()
-        tree._rebuild_cover()
+        tree._cov_starts = None
+        tree._cov_owner = None
+        return tree
+
+    @classmethod
+    def fold_columns(
+        cls, config: RapConfig, trees: Sequence["ColumnarRapTree"]
+    ) -> "ColumnarRapTree":
+        """Deposit every shard counter at its own range, in one new tree.
+
+        The columnar form of :func:`repro.core.combine.combine_many`'s
+        fold, before its final merge pass. The RAP partition is a
+        canonical ``b``-ary hierarchy, so a range is named by
+        ``(depth, lo)`` and the fold is a set union plus a closure, not a
+        pointer descent:
+
+        1. the live slots of every shard with a nonzero count are the
+           deposits;
+        2. their strict ancestors are marked bottom-up, one ``parents``
+           pass per level;
+        3. every marked ancestor is split into all of its partition
+           cells (vectorized ``partition_range``, uint64-safe);
+        4. the root plus those cells, laid out in ``(depth, lo)`` order,
+           are the new tree's slots; the deposits are summed onto them.
+
+        This is exactly the node set the object fold's per-deposit
+        descent materializes (it splits every node it passes through into
+        all of its cells), so after the caller's ``merge_now`` both folds
+        dump identically. Every internal node holds all of its cells, so
+        the cover index is the leaves in ``lo`` order. Every slot starts
+        dirty, so the merge pass visits the whole tree. ``config`` is the
+        fold's (already reconciled) configuration; the shards must share
+        its universe and branching factor.
+        """
+        branching = np.uint64(config.branching)
+        root_hi = config.range_max - 1
+        anc_parts: List[Tuple[np.ndarray, ...]] = []
+        dep_parts: List[Tuple[np.ndarray, ...]] = []
+        total = 0
+        for shard in trees:
+            total += shard.events
+            size = shard._size
+            live = shard._live[:size]
+            deposits = live & (shard._counts[:size] != 0)
+            if not deposits.any():
+                continue
+            parents = shard._parents
+            live_idx = np.flatnonzero(live)
+            levels = shard._depth[live_idx]
+            order = np.argsort(levels, kind="stable")
+            by_depth = live_idx[order]
+            bounds = np.searchsorted(
+                levels[order], np.arange(int(levels[order[-1]]) + 2)
+            )
+            # ``needed``: a deposit or an ancestor of one (closed upward).
+            needed = deposits.copy()
+            internal = np.zeros(size, dtype=np.bool_)
+            for level in range(bounds.size - 2, 0, -1):
+                slots = by_depth[bounds[level] : bounds[level + 1]]
+                up = parents[slots[needed[slots]]]
+                internal[up] = True
+                needed[up] = True
+            anc = np.flatnonzero(internal)
+            anc_parts.append(
+                (shard._depth[anc], shard._los[anc], shard._his[anc])
+            )
+            dep = np.flatnonzero(deposits)
+            dep_parts.append(
+                (
+                    shard._depth[dep],
+                    shard._los[dep],
+                    shard._his[dep],
+                    shard._counts[dep],
+                )
+            )
+        if total > _INT64_MAX:
+            raise OverflowError(
+                f"fold of {total} events exceeds the int64 counter domain"
+            )
+        tree = cls(config)
+        tree._events = total
+        if not dep_parts:
+            return tree
+        anc_depth, anc_lo, anc_hi = (
+            np.concatenate(column) for column in zip(*anc_parts)
+        )
+        # Shards share ancestors: sort by (depth, lo), drop repeats.
+        order = np.lexsort((anc_lo, anc_depth))
+        anc_depth, anc_lo, anc_hi = (
+            anc_depth[order], anc_lo[order], anc_hi[order]
+        )
+        keep = np.ones(order.size, dtype=np.bool_)
+        keep[1:] = (anc_lo[1:] != anc_lo[:-1]) | (
+            anc_depth[1:] != anc_depth[:-1]
+        )
+        anc_depth, anc_lo, anc_hi = anc_depth[keep], anc_lo[keep], anc_hi[keep]
+        # Vectorized partition_range: cells_n = min(b, width) cells of
+        # width ``base``, the first ``extra`` one wider. The width itself
+        # (2**64 at a 64-bit root) may not fit uint64, so everything is
+        # derived from ``span = width - 1``.
+        one = np.uint64(1)
+        span = anc_hi - anc_lo
+        cells_n = np.minimum(span, branching - one) + one
+        quot = span // cells_n
+        rem = span % cells_n + one
+        base = quot + rem // cells_n
+        extra = rem % cells_n
+        index = np.arange(config.branching, dtype=np.uint64)[None, :]
+        valid = index < cells_n[:, None]
+        cell_lo = (
+            anc_lo[:, None]
+            + index * base[:, None]
+            + np.minimum(index, extra[:, None])
+        )[valid]
+        per_cell = cells_n.astype(np.int64)
+        cell_hi = cell_lo + (
+            base.repeat(per_cell)
+            - one
+            + (index < extra[:, None])[valid].astype(np.uint64)
+        )
+        # Ancestors are sorted by (depth, lo) and each one's cells come
+        # out in lo order, so root + cells is already (depth, lo) order.
+        n = int(cell_lo.size) + 1
+        los = np.empty(n, dtype=np.uint64)
+        his = np.empty(n, dtype=np.uint64)
+        depth = np.empty(n, dtype=np.int32)
+        los[0] = 0
+        his[0] = root_hi
+        los[1:] = cell_lo
+        his[1:] = cell_hi
+        depth[0] = 0
+        depth[1:] = (anc_depth + 1).repeat(per_cell)
+        level_bounds = np.searchsorted(depth, np.arange(int(depth[-1]) + 2))
+
+        def rows_of(key_depth: np.ndarray, key_lo: np.ndarray) -> np.ndarray:
+            """Slot of each ``(depth, lo)`` key among the new rows."""
+            rows = np.empty(key_depth.size, dtype=np.int64)
+            for level in np.unique(key_depth).tolist():
+                at = np.flatnonzero(key_depth == level)
+                start = level_bounds[level]
+                rows[at] = start + np.searchsorted(
+                    los[start : level_bounds[level + 1]], key_lo[at]
+                )
+            return rows
+
+        parents = np.empty(n, dtype=np.int32)
+        parents[0] = _NO_SLOT
+        parents[1:] = rows_of(anc_depth, anc_lo).repeat(per_cell)
+        dep_depth, dep_lo, dep_hi, dep_counts = (
+            np.concatenate(column) for column in zip(*dep_parts)
+        )
+        dep_rows = np.minimum(rows_of(dep_depth, dep_lo), n - 1)
+        if not (
+            np.array_equal(los[dep_rows], dep_lo)
+            and np.array_equal(his[dep_rows], dep_hi)
+        ):
+            raise ValueError("shard holds a range outside this partition")
+        counts = np.zeros(n, dtype=np.int64)
+        np.add.at(counts, dep_rows, dep_counts)
+
+        tree._capacity = n
+        tree._size = n
+        tree._node_count = n
+        tree._counts = counts
+        tree._los = los
+        tree._his = his
+        tree._parents = parents
+        tree._depth = depth
+        tree._is_item = los == his
+        tree._first_child = np.full(n, _NO_SLOT, dtype=np.int32)
+        tree._next_sibling = np.full(n, _NO_SLOT, dtype=np.int32)
+        tree._n_children = np.zeros(n, dtype=np.int32)
+        tree._dirty = np.ones(n, dtype=np.bool_)
+        tree._cached_weight = np.zeros(n, dtype=np.int64)
+        tree._cached_min = np.zeros(n, dtype=np.int64)
+        tree._live = np.ones(n, dtype=np.bool_)
+        tree._free_slots = np.zeros(n, dtype=np.int32)
+        tree._rebind_views()
+        tree._rebuild_chains(np.arange(n))
+        leaves = np.flatnonzero(tree._n_children == 0)
+        leaves = leaves[np.argsort(los[leaves], kind="stable")]
+        tree._cov_starts = los[leaves]
+        tree._cov_owner = leaves.astype(np.int64)
         return tree
 
     # ------------------------------------------------------------------
@@ -2454,6 +2648,36 @@ class ColumnarRapTree:
         for node in self.nodes():
             if node.is_leaf:
                 yield node
+
+    def heavy_leaves(self, min_weight: float) -> List[Tuple[int, int, int]]:
+        """``(lo, hi, count)`` of every leaf holding at least ``min_weight``.
+
+        Same rows and order as ``RapTree.heavy_leaves`` (heaviest first,
+        ties by ``lo``), read straight off the columns: live slots with
+        no children whose counter clears the bar. The float bar is
+        compared on the integer side (``c >= w`` iff ``c >= ceil(w)``
+        for integral ``c``), so no counter is rounded through float64.
+        """
+        if not min_weight <= _INT64_MAX:  # NaN, or above every counter
+            return []
+        bar = math.ceil(min_weight) if min_weight > 0 else 0
+        size = self._size
+        counts = self._counts[:size]
+        slots = np.flatnonzero(
+            self._live[:size]
+            & (self._n_children[:size] == 0)
+            & (counts >= bar)
+        )
+        los = self._los[slots]
+        weights = counts[slots]
+        order = np.lexsort((los, -weights))
+        return list(
+            zip(
+                los[order].tolist(),
+                self._his[slots][order].tolist(),
+                weights[order].tolist(),
+            )
+        )
 
     def total_weight(self) -> int:
         """Sum of all counters; always equals :attr:`events`.

@@ -18,20 +18,28 @@ then merge the trees into one summary whose guarantees still hold:
 * memory is re-pruned with a final merge batch, so the result obeys the
   same worst-case bound.
 
-The construction walks each shard once and adds each node's *own* count
-into a single accumulator tree at the finest existing-or-creatable
-position: counts recorded for range ``[lo, hi]`` are added at the node
-for ``[lo, hi]`` itself (created on demand along the deterministic
-partition path, so structure stays valid). One accumulator for all
-shards keeps ``combine_many`` linear in total shard size — the old
-pairwise fold re-copied the whole accumulated tree per shard, going
-quadratic in the number of shards.
+The construction adds each shard node's *own* count into a single
+accumulator tree at the node for its own range ``[lo, hi]``, created on
+demand along the deterministic partition path (every node passed on the
+way is split into all of its cells, so structure stays valid). One
+accumulator for all shards keeps ``combine_many`` linear in total shard
+size.
+
+When every input is a columnar tree the accumulator is built straight
+from the shard columns (:meth:`ColumnarRapTree.fold_columns`): the
+partition is a canonical ``b``-ary hierarchy, so the node set is the
+closure "every cell of every strict ancestor of a nonzero range", which
+numpy computes level by level. Any other mix of inputs folds through the
+object tree, one descent per nonzero node. Both paths produce the same
+``dump_tree``; the columnar one returns a ``ColumnarRapTree``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Sequence
 
+from .backend import TreeBackend
+from .columnar import ColumnarRapTree
 from .config import RapConfig
 from .node import RapNode, partition_range
 from .tree import RapTree
@@ -59,17 +67,19 @@ def combine_trees(
 
 
 def combine_many(
-    trees: Iterable[RapTree],
+    trees: Iterable[TreeBackend],
     *,
     allow_mismatched_epsilon: bool = False,
-) -> RapTree:
+) -> TreeBackend:
     """Merge any number of shard profiles into a single accumulator tree.
 
     Every shard is walked exactly once and deposited into one fresh
     accumulator — linear in total shard size, unlike a pairwise
     :func:`combine_trees` fold. A single tree is returned as-is (callers
     that must not alias the input — e.g. runtime snapshots — should
-    :meth:`~repro.core.tree.RapTree.clone` it).
+    :meth:`~repro.core.tree.RapTree.clone` it). The result is a
+    ``ColumnarRapTree`` when every input is one, otherwise a ``RapTree``;
+    either way it has been merged and passed ``check_invariants``.
 
     Error bound: each shard ``i`` undercounts any range by at most
     ``epsilon_i * n_i``, and the fold deposits every shard counter at
@@ -93,6 +103,18 @@ def combine_many(
     max_epsilon = max(tree.config.epsilon for tree in trees)
     if max_epsilon != config.epsilon:
         config = config.with_updates(epsilon=max_epsilon)
+    if all(isinstance(tree, ColumnarRapTree) for tree in trees):
+        combined: TreeBackend = ColumnarRapTree.fold_columns(config, trees)
+    else:
+        combined = _fold_nodes(config, trees)
+    if combined.events:
+        combined.merge_now()
+        combined.check_invariants()
+    return combined
+
+
+def _fold_nodes(config: RapConfig, trees: Sequence[TreeBackend]) -> RapTree:
+    """Object fold: deposit every nonzero node of every shard in turn."""
     combined = RapTree(config)
     total_events = 0
     for source in trees:
@@ -101,15 +123,12 @@ def combine_many(
             if node.count:
                 _add_at_range(combined, node.lo, node.hi, node.count)
     combined._events = total_events  # noqa: SLF001 - fold owns the new tree
-    if combined.events:
-        combined.merge_now()
-        combined.check_invariants()
     return combined
 
 
 def _check_compatible(
-    first: RapTree,
-    second: RapTree,
+    first: TreeBackend,
+    second: TreeBackend,
     *,
     allow_mismatched_epsilon: bool = False,
 ) -> None:

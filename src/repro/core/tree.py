@@ -931,6 +931,20 @@ class RapTree:
             if node.is_leaf:
                 yield node
 
+    def heavy_leaves(self, min_weight: float) -> List[Tuple[int, int, int]]:
+        """``(lo, hi, count)`` of every leaf holding at least ``min_weight``.
+
+        Heaviest first; equal counts in ``lo`` order (leaves are
+        disjoint, so the order is total). A leaf's count is its estimate.
+        """
+        rows = [
+            (node.lo, node.hi, node.count)
+            for node in self.leaves()
+            if node.count >= min_weight
+        ]
+        rows.sort(key=lambda row: (-row[2], row[0]))
+        return rows
+
     def total_weight(self) -> int:
         """Sum of all counters; always equals :attr:`events`."""
         return self._root.subtree_weight()

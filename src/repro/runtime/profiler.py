@@ -82,6 +82,7 @@ from typing import (
 
 import numpy as np
 
+from ..core.backend import TreeBackend
 from ..core.config import RapConfig
 from ..core.combine import combine_many
 from ..core.serialize import FRAME_BATCH, FRAME_CBATCH
@@ -374,7 +375,7 @@ class Profiler:
         self._snapshots = 0
         self._snapshot_seconds = 0.0
         self._ingest_seconds = 0.0
-        self._snapshot_cache: Optional[RapTree] = None
+        self._snapshot_cache: Optional[TreeBackend] = None
         self._snapshot_epoch: Optional[Tuple[int, ...]] = None
 
     @classmethod
@@ -579,7 +580,7 @@ class Profiler:
         if self._state == "open":
             self.close()
 
-    def close(self) -> RapTree:
+    def close(self) -> TreeBackend:
         """Drain every shard, stop workers, return the final snapshot.
 
         After ``close()`` the profiler accepts no more events;
@@ -1028,7 +1029,7 @@ class Profiler:
                 self._sync_workers()
             self._raise_worker_errors()
 
-    def snapshot(self) -> RapTree:
+    def snapshot(self) -> TreeBackend:
         """Fold every shard into one consistent tree (epoch boundary).
 
         Locks out new ingests, drains every accepted batch, then folds
@@ -1037,7 +1038,12 @@ class Profiler:
         profiles are cloned; process-executor shards are folded from
         attached or serialized copies) and cached: repeated snapshots
         with no intervening ingest return the same tree without
-        re-folding.
+        re-folding. Its backend follows the shards': a columnar profiler
+        (the process executor included, whenever its shards are attached
+        from shared memory) returns a ``ColumnarRapTree``, folded
+        straight from the shard columns; an object profiler, or a fold
+        that includes a serialized shard, returns a ``RapTree``. The
+        fold path never changes the result: both dump identically.
         """
         if self._state == "closed":
             if self._snapshot_cache is None:
@@ -1056,7 +1062,7 @@ class Profiler:
             self._raise_worker_errors()
             return self._fold_locked()
 
-    def _fold_locked(self) -> RapTree:
+    def _fold_locked(self) -> TreeBackend:
         if self._sanitizer is not None:
             self._sanitizer.begin_fold("Profiler._ingest_lock")
         try:
@@ -1092,7 +1098,7 @@ class Profiler:
             if self._sanitizer is not None:
                 self._sanitizer.end_fold()
 
-    def _fold_process_locked(self) -> RapTree:
+    def _fold_process_locked(self) -> TreeBackend:
         """Fold synced worker shards: zero-copy attach, dump fallback.
 
         Every worker is quiesced (``_sync_workers`` ran under this
@@ -1101,13 +1107,15 @@ class Profiler:
         the fold walks them without copying a column; shards without
         shared memory are fetched as serialized-v2 text. The result is
         always independent of worker state: a single shard is cloned,
-        multiple shards fold through ``combine_many`` (which builds a
-        fresh tree from the constituents' node views).
+        multiple shards fold through ``combine_many``, which builds a
+        fresh columnar tree straight from the attached columns (a
+        serialized shard is an object tree, so a fold that includes one
+        walks node views instead).
         """
         from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the fold attaches worker column segments; the attach protocol is columnar-only by design
         from ..core.serialize import load_tree
 
-        trees: List[RapTree] = []
+        trees: List[TreeBackend] = []
         attachments: List[ShmAttachment] = []
         try:
             for shard, payload in enumerate(self._shard_states):
@@ -1154,18 +1162,13 @@ class Profiler:
 
         Returns ``(lo, hi, estimate)`` for every snapshot leaf whose
         estimated weight is at least ``hot_fraction`` of the total,
-        heaviest first — the report ``rap_finalize`` historically
-        printed, now answered from the folded snapshot.
+        heaviest first (equal estimates in ``lo`` order) — the report
+        ``rap_finalize`` historically printed, now answered from the
+        folded snapshot. A columnar snapshot answers from its columns
+        without building a node view.
         """
         tree = self.snapshot()
-        threshold = hot_fraction * tree.events
-        ranges = [
-            (node.lo, node.hi, node.subtree_weight())
-            for node in tree.nodes()
-            if node.is_leaf and node.subtree_weight() >= threshold
-        ]
-        ranges.sort(key=lambda item: (-item[2], item[0]))
-        return ranges
+        return tree.heavy_leaves(hot_fraction * tree.events)
 
     # ------------------------------------------------------------------
     # Metrics

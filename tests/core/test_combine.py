@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ExactProfiler
-from repro.core import RapConfig, RapTree
+from repro.core import ColumnarRapTree, RapConfig, RapTree, dump_tree, load_tree
 from repro.core.combine import combine_many, combine_trees, split_stream_profile
+from repro.core.node import partition_range
 
 UNIVERSE = 1024
 
@@ -175,3 +176,189 @@ class TestCombineProperties:
         exact = ExactProfiler(UNIVERSE)
         exact.extend(values)
         assert combined.estimate(lo, hi) <= exact.count(lo, hi)
+
+
+# ----------------------------------------------------------------------
+# Columnar fold vs object fold
+# ----------------------------------------------------------------------
+
+#: Largest power exponent per branching factor (keeps universes modest
+#: enough that a few hundred events exercise every depth).
+MAX_POWER = {2: 12, 3: 8, 4: 6, 16: 3}
+
+
+def columnar_tree(universe, branching, epsilon, values, interval=16):
+    tree = RapTree.from_config(
+        RapConfig(
+            range_max=universe,
+            epsilon=epsilon,
+            branching=branching,
+            merge_initial_interval=interval,
+            backend="columnar",
+        )
+    )
+    if values:
+        tree.extend(values)
+    return tree
+
+
+def object_twin(tree):
+    """An object-backend tree with exactly the same contents."""
+    return load_tree(dump_tree(tree))
+
+
+@st.composite
+def fold_cases(draw):
+    branching = draw(st.sampled_from([2, 3, 4, 16]))
+    kind = draw(st.sampled_from(["power", "uneven", "full64"]))
+    if kind == "full64":
+        universe = 2**64
+    else:
+        power = branching ** draw(st.integers(1, MAX_POWER[branching]))
+        # Strictly between two powers of b: partition cells are uneven.
+        offset = 0 if kind == "power" else draw(
+            st.integers(1, power * (branching - 1) - 1)
+        )
+        universe = power + offset
+    hot = draw(
+        st.lists(st.integers(0, universe - 1), min_size=1, max_size=6)
+    )
+    value = st.one_of(st.sampled_from(hot), st.integers(0, universe - 1))
+    shards = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.05, 0.2, 0.5]),
+                st.lists(value, max_size=300),  # may be empty
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return universe, branching, shards
+
+
+def node_features(tree):
+    """(has a merge gap, has a zero-count leaf) over ``tree``'s nodes."""
+    branching = tree.config.branching
+    gap = any(
+        node.children
+        and len(node.children) < len(
+            partition_range(node.lo, node.hi, branching)
+        )
+        for node in tree.nodes()
+    )
+    zero_leaf = any(
+        node.is_leaf and node.count == 0 for node in tree.nodes()
+    )
+    return gap, zero_leaf
+
+
+class TestColumnarFold:
+    """All-columnar folds build from the columns and match the object fold."""
+
+    @given(case=fold_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_columnar_fold_dumps_like_object_fold(self, case):
+        universe, branching, shards = case
+        trees = [
+            columnar_tree(universe, branching, epsilon, values)
+            for epsilon, values in shards
+        ]
+        folded = combine_many(trees, allow_mismatched_epsilon=True)
+        reference = combine_many(
+            [object_twin(tree) for tree in trees],
+            allow_mismatched_epsilon=True,
+        )
+        if len(trees) > 1:
+            assert isinstance(folded, ColumnarRapTree)
+            assert type(reference) is RapTree
+        assert dump_tree(folded) == dump_tree(reference)
+        assert folded.config.epsilon == max(eps for eps, _ in shards)
+        assert folded.events == sum(len(values) for _, values in shards)
+        folded.check_invariants()
+
+    @pytest.mark.parametrize("universe", [4**6, 1000, 2**64])
+    def test_gaps_and_zero_leaves_fold_identically(self, universe):
+        rng = np.random.default_rng(universe % 1009)
+        hot = rng.integers(0, universe, 5, dtype=np.uint64)
+        trees = []
+        for _ in range(3):
+            # Hot values, then a sweep of cold ones: merges collapse the
+            # cold camps back into partially covered parents (gaps).
+            # A burst on a fresh value after the last merge (512 events)
+            # splits its path and leaves zero-count sibling cells.
+            values = [int(v) for v in rng.choice(hot, 400)]
+            values += [
+                int(v) for v in rng.integers(0, universe, 300, dtype=np.uint64)
+            ]
+            values += [int(rng.integers(0, universe, dtype=np.uint64))] * 150
+            trees.append(columnar_tree(universe, 4, 0.2, values, interval=32))
+        gap, zero_leaf = zip(*(node_features(tree) for tree in trees))
+        assert any(gap) and any(zero_leaf), "inputs must exercise both"
+        folded = combine_many(trees)
+        assert isinstance(folded, ColumnarRapTree)
+        assert dump_tree(folded) == dump_tree(
+            combine_many([object_twin(tree) for tree in trees])
+        )
+        folded.check_invariants()
+
+    def test_empty_shards_fold_to_an_empty_tree(self):
+        trees = [columnar_tree(2**64, 2, 0.1, []) for _ in range(3)]
+        folded = combine_many(trees)
+        assert isinstance(folded, ColumnarRapTree)
+        assert folded.events == 0 and folded.node_count == 1
+        assert dump_tree(folded) == dump_tree(
+            combine_many([object_twin(tree) for tree in trees])
+        )
+
+    def test_mixed_backends_take_the_object_fold(self):
+        rng = np.random.default_rng(11)
+        values = [int(v) for v in rng.integers(0, UNIVERSE, 900)]
+        columnar = [
+            columnar_tree(UNIVERSE, 4, 0.05, values[i::3]) for i in range(3)
+        ]
+        mixed = [columnar[0], object_twin(columnar[1]), columnar[2]]
+        folded = combine_many(mixed)
+        assert type(folded) is RapTree
+        assert dump_tree(folded) == dump_tree(combine_many(columnar))
+        folded.check_invariants()
+
+    def test_fold_does_not_alias_its_inputs(self):
+        shards = [columnar_tree(UNIVERSE, 2, 0.05, [5] * 100 + [700] * 50)]
+        shards.append(columnar_tree(UNIVERSE, 2, 0.05, [5] * 60))
+        before = [dump_tree(tree) for tree in shards]
+        folded = combine_many(shards)
+        folded.add(9, 40)
+        folded.merge_now()
+        folded.check_invariants()
+        assert [dump_tree(tree) for tree in shards] == before
+
+    def test_attached_shards_fold_without_building_a_cover_index(self):
+        rng = np.random.default_rng(5)
+        shards = [
+            columnar_tree(
+                UNIVERSE, 4, 0.05, [int(v) for v in rng.zipf(1.4, 2_000) % 997]
+            )
+            for _ in range(2)
+        ]
+        attached = [
+            ColumnarRapTree.attach_columns(
+                tree.config,
+                {name: getattr(tree, name) for name in tree.COLUMN_DTYPES},
+                tree.column_state(),
+            )
+            for tree in shards
+        ]
+        folded = combine_many(attached)
+        assert dump_tree(folded) == dump_tree(combine_many(shards))
+        # Neither the fold nor an estimate needed the cover index ...
+        attached[0].estimate(0, 500)
+        assert all(tree._cov_starts is None for tree in attached)  # noqa: SLF001
+        # ... and whatever does need it gets one equal to the live tree's.
+        copy = attached[0].clone()
+        live = shards[0].clone()  # folds the live tree's queued splices
+        assert np.array_equal(copy._cov_starts, live._cov_starts)  # noqa: SLF001
+        assert np.array_equal(copy._cov_owner, live._cov_owner)  # noqa: SLF001
+        copy.add(3)
+        copy.check_invariants()
+        attached[1].check_invariants()

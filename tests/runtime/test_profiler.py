@@ -312,3 +312,59 @@ class TestHotRanges:
         lo, hi, weight = report[0]
         assert lo <= 42 <= hi
         assert weight >= 5000 * 0.8
+
+    @staticmethod
+    def walked_hot_ranges(tree, hot_fraction):
+        """The node-walk definition: leaf estimates, heaviest first."""
+        threshold = hot_fraction * tree.events
+        rows = [
+            (node.lo, node.hi, node.subtree_weight())
+            for node in tree.nodes()
+            if node.is_leaf and node.subtree_weight() >= threshold
+        ]
+        rows.sort(key=lambda row: (-row[2], row[0]))
+        return rows
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_report_matches_the_node_walk(self, executor, shards):
+        values = np.concatenate([
+            np.full(3000, 42, dtype=np.uint64),
+            zipf_values(31, 20_000),
+            np.arange(0, UNIVERSE, 97, dtype=np.uint64),
+        ])
+        with Profiler(
+            config(epsilon=0.01, backend="columnar"),
+            shards=shards,
+            executor=executor,
+        ) as profiler:
+            profiler.ingest(values)
+            snapshot = profiler.snapshot()
+            reports = {
+                fraction: profiler.hot_ranges(hot_fraction=fraction)
+                for fraction in (0.0, 0.001, 0.05, 0.2)
+            }
+        weights = [weight for _, _, weight in reports[0.0]]
+        assert len(set(weights)) < len(weights), "expected tied estimates"
+        for fraction, report in reports.items():
+            assert report == self.walked_hot_ranges(snapshot, fraction)
+        assert reports[0.2], "expected a hot leaf at 20%"
+
+    def test_heavy_leaves_compare_counts_exactly(self):
+        # A leaf count of 2**53 + 3 rounds up to 2**53 + 4 in float64: a
+        # float-side comparison would wrongly admit it at that bar.
+        count = 2**53 + 3
+        bar = float(2**53 + 4)
+        for backend in ("object", "columnar"):
+            tree = RapTree.from_config(
+                RapConfig(2, epsilon=0.05, backend=backend)
+            )
+            tree.add(0, count + 2)  # the root keeps 2, leaf [0, 0] the rest
+            assert [(n.lo, n.hi, n.count) for n in tree.leaves()] == [
+                (0, 0, count)
+            ]
+            assert tree.heavy_leaves(bar) == []
+            assert tree.heavy_leaves(bar - 4) == [(0, 0, count)]
+            assert tree.heavy_leaves(float("nan")) == []
+            assert tree.heavy_leaves(float("inf")) == []
+            assert tree.heavy_leaves(float("-inf")) == [(0, 0, count)]

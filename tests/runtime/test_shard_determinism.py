@@ -107,7 +107,7 @@ class TestDeterminism:
             values, shards, executor="thread", backpressure="block",
             queue_capacity=2, batch_size=512,
         )
-        assert shape(threaded._root) == shape(serial._root)  # noqa: SLF001
+        assert shape(threaded.root) == shape(serial.root)
 
     def test_spill_matches_block_shape(self):
         rng = random.Random(107)
@@ -118,14 +118,14 @@ class TestDeterminism:
         spill = profiled_snapshot(
             values, 4, backpressure="spill", queue_capacity=1, batch_size=256,
         )
-        assert shape(spill._root) == shape(block._root)  # noqa: SLF001
+        assert shape(spill.root) == shape(block.root)
 
     def test_repeat_runs_are_identical(self):
         rng = random.Random(109)
         values = zipf_stream(rng, UNIVERSE, 15_000)
         first = profiled_snapshot(values, 4)
         second = profiled_snapshot(values, 4)
-        assert shape(first._root) == shape(second._root)  # noqa: SLF001
+        assert shape(first.root) == shape(second.root)
 
 
 class TestProcessExecutorOracle:
@@ -159,7 +159,7 @@ class TestProcessExecutorOracle:
         values = zipf_stream(rng, UNIVERSE, 15_000)
         first = profiled_snapshot(values, 4, executor="process")
         second = profiled_snapshot(values, 4, executor="process")
-        assert shape(first._root) == shape(second._root)  # noqa: SLF001
+        assert shape(first.root) == shape(second.root)
 
     @pytest.mark.parametrize("transport", ["ring", "pipe"])
     def test_repeat_runs_identical_on_each_transport(self, transport):
@@ -171,7 +171,7 @@ class TestProcessExecutorOracle:
         second = profiled_snapshot(
             values, 4, executor="process", transport=transport
         )
-        assert shape(first._root) == shape(second._root)  # noqa: SLF001
+        assert shape(first.root) == shape(second.root)
 
     def test_ring_and_pipe_transports_agree_bit_for_bit(self):
         # Flush points are a pure function of the frame sequence, and
@@ -220,7 +220,7 @@ class TestSanitizedRuns:
         assert report["queues_tracked"] == 4
         assert report["events_logged"] > 0
         # Instrumentation is observation-only: identical tree shape.
-        assert shape(sanitized._root) == shape(plain._root)  # noqa: SLF001 - shape oracle
+        assert shape(sanitized.root) == shape(plain.root)
 
     def test_sanitized_serial_run_is_clean(self):
         rng = random.Random(137)
