@@ -71,28 +71,22 @@ BATCH_KERNEL_MIN_EVENTS = 10_000
 
 #: The process-executor value proposition (the ``executor="process"``
 #: acceptance gate): sustained 4-shard ingest through worker processes
-#: over shared-memory columnar trees must beat the threaded executor
-#: on the same columnar backend. Intra-run min ratio like the other
-#: two gates, applied only at the full scale — at smoke scale the
-#: ratio drowns in process spawn and pipe handshakes.
+#: over shared-memory columnar trees must beat the serial executor on
+#: the same columnar backend and shard configuration. Intra-run min
+#: ratio like the other two gates, applied only at the full scale — at
+#: smoke scale the ratio drowns in process spawn and ring handshakes.
 PROCESS_INGEST = "test_runtime_process_shard_ingest[columnar]"
-THREADED_INGEST = "test_runtime_multi_shard_ingest[columnar]"
+SERIAL_INGEST = "test_runtime_multi_shard_ingest[columnar]"
 PROCESS_SPEEDUP_FLOOR = 1.5
 PROCESS_GATE_MIN_EVENTS = 50_000
 
 #: The ring-transport value proposition (the zero-copy transport
 #: acceptance gate). ``test_runtime_process_shard_ingest[columnar]``
-#: rode the pickle-framed pipe transport until the ring landed; its
-#: last pipe-era lineage value — min_s at the 50k tier on the
-#: reference machine, frozen here from the pre-ring
-#: ``BENCH_core_throughput.json`` — is the denominator the ring row
-#: must stay >= 1.4x faster than. The live pipe row
-#: (``test_runtime_process_pipe_ingest[columnar]``) remains in the
-#: payload as its own tracked lineage so the comparison stays
-#: reproducible, but the gate divides against the frozen figure: the
-#: worker warm-up/readiness handshake that landed *with* the ring sped
-#: the pipe path up too, so the intra-run ratio understates what the
-#: transport rewrite bought end to end. Calibration-scaled like the
+#: rode a pickle-framed pipe transport until the ring landed (the pipe
+#: has since been removed); its last pipe-era lineage value — min_s at
+#: the 50k tier on the reference machine, frozen here from the
+#: pre-ring ``BENCH_core_throughput.json`` — is the denominator the
+#: ring row must stay >= 1.4x faster than. Calibration-scaled like the
 #: mean comparisons; SKIP below 50k (same policy as the
 #: process-executor gate — transport cost drowns in spawn overhead at
 #: smoke scale).
@@ -249,21 +243,21 @@ def main(argv=None) -> int:
         if status == "FAIL":
             failures.append("columnar-batch-kernel-speedup")
 
-    # And the process executor must keep beating the threaded one on
-    # the shared columnar lineage (intra-run min ratio, calibration-
-    # free) — the documented reason executor="process" exists.
+    # And the process executor must keep beating the serial one on the
+    # shared columnar lineage (intra-run min ratio, calibration-free) —
+    # the documented reason executor="process" exists.
     mins = {
         row["name"]: row["min_s"]
         for row in candidate["results"]
-        if row["name"] in (PROCESS_INGEST, THREADED_INGEST)
+        if row["name"] in (PROCESS_INGEST, SERIAL_INGEST)
     }
     if len(mins) < 2 or not mins.get(PROCESS_INGEST):
         print(
             "SKIP process-executor gate: missing "
-            f"{PROCESS_INGEST} / {THREADED_INGEST} rows in candidate"
+            f"{PROCESS_INGEST} / {SERIAL_INGEST} rows in candidate"
         )
     elif candidate["events"] < PROCESS_GATE_MIN_EVENTS:
-        ratio = mins[THREADED_INGEST] / mins[PROCESS_INGEST]
+        ratio = mins[SERIAL_INGEST] / mins[PROCESS_INGEST]
         print(
             f"SKIP process-executor gate: measured {ratio:.2f}x at "
             f"{candidate['events']} events; the "
@@ -271,11 +265,11 @@ def main(argv=None) -> int:
             f"{PROCESS_GATE_MIN_EVENTS} events up"
         )
     else:
-        ratio = mins[THREADED_INGEST] / mins[PROCESS_INGEST]
+        ratio = mins[SERIAL_INGEST] / mins[PROCESS_INGEST]
         status = "OK" if ratio >= PROCESS_SPEEDUP_FLOOR else "FAIL"
         print(
             f"{status:4s} process-executor ingest speedup: "
-            f"{ratio:.2f}x threaded (floor {PROCESS_SPEEDUP_FLOOR:.1f}x)"
+            f"{ratio:.2f}x serial (floor {PROCESS_SPEEDUP_FLOOR:.1f}x)"
         )
         if status == "FAIL":
             failures.append("process-executor-ingest-speedup")

@@ -1,9 +1,9 @@
 """Multi-shard runtime throughput against the single-shard baseline.
 
 The tentpole claim for :mod:`repro.runtime`: partitioning a stream
-across shard workers — duplicate-combining per shard on the producer,
-batched ``add_batch`` on each confined tree — beats the single-shard
-per-event ingest path by >= 2x events/sec at the default 50k scale.
+across shards — duplicate-combining per shard, batched ``add_batch``
+on each shard tree — beats the single-shard per-event ingest path by
+>= 2x events/sec at the default 50k scale.
 The multi-shard configuration uses ``shard_epsilon = N * epsilon``
 (equal total node budget, documented ``shard_epsilon * n`` snapshot
 bound) so the comparison holds memory constant; see ``docs/runtime.md``.
@@ -55,39 +55,37 @@ def _single_shard(values, universe):
 
 
 def _multi_shard(values, universe, backend="object"):
-    """The tentpole path: hash partition, 4 workers, equal node budget."""
+    """The tentpole path: hash partition, 4 serial shards, equal node
+    budget."""
     return Profiler(
         RapConfig(range_max=universe, epsilon=EPSILON, backend=backend),
         shards=SHARDS,
-        executor="thread",
+        executor="serial",
         shard_epsilon=SHARDS * EPSILON,
         batch_size=BATCH,
     )
 
 
-def _process_shard(values, universe, backend="columnar", transport="ring"):
+def _process_shard(values, universe, backend="columnar"):
     """The multiprocess path: same partition/budget, worker processes
-    over shared-memory columnar trees fed raw partitioned frames that
-    each worker duplicate-combines in its own combining buffer. The
-    frames travel over the shared-memory ring transport by default;
-    ``transport="pipe"`` keeps the pickle-framed pipe lineage alive as
-    the comparison row the ring gate divides against."""
+    over shared-memory columnar trees fed raw partitioned frames through
+    shared-memory rings; each worker duplicate-combines them in its own
+    combining buffer."""
     return Profiler(
         RapConfig(range_max=universe, epsilon=EPSILON, backend=backend),
         shards=SHARDS,
         executor="process",
         shard_epsilon=SHARDS * EPSILON,
         batch_size=BATCH,
-        transport=transport,
     )
 
 
 def _timed_ingest(profiler, values):
-    """The measured section: producer dispatch plus, for threaded
+    """The measured section: producer dispatch plus, for multi-shard
     profilers, ``drain()`` so every accepted batch is applied before
     the clock stops — the same methodology as the 2x speedup floor
-    below. Open/close (thread-pool spin-up and teardown) and the
-    snapshot fold happen outside the timer: the fold has its own row
+    below. Open/close (worker spawn and teardown) and the snapshot fold
+    happen outside the timer: the fold has its own row
     (``test_runtime_snapshot_fold``) and lifecycle churn is round-to-
     round scheduling noise, not ingest throughput."""
     profiler.ingest(values)
@@ -125,34 +123,18 @@ def test_runtime_multi_shard_ingest(benchmark, backend, value_stream):
     _bench_ingest(benchmark, make, *value_stream)
 
 
-# Parametrized like the threaded row so the two lineages pair by
-# backend; only "columnar" exists — the process executor keeps shard
-# trees in shared-memory column arrays by construction. This row rides
-# the default (ring) transport; the pipe row below is its comparison
-# lineage.
+# Parametrized like the serial multi-shard row so the two lineages pair
+# by backend; only "columnar" exists — the process executor keeps shard
+# trees in shared-memory column arrays by construction.
 @pytest.mark.parametrize("backend", ["columnar"])
 def test_runtime_process_shard_ingest(benchmark, backend, value_stream):
     def make(values, universe):
         return _process_shard(values, universe, backend)
 
-    # The two transport rows feed the ring gate's numerator and
-    # denominator, whose 1.4x floor leaves far less margin than the 30%
-    # tolerance band — so give their min estimator more samples to find
-    # the quiet-machine floor through scheduler noise.
-    _bench_ingest(benchmark, make, *value_stream, rounds=21)
-
-
-@pytest.mark.parametrize("backend", ["columnar"])
-def test_runtime_process_pipe_ingest(benchmark, backend, value_stream):
-    """The pickle-pipe transport lineage: same executor, same workload.
-
-    Exists so the ring-transport gate in ``check_regression.py`` has a
-    live denominator measured under identical conditions — the ring row
-    above must stay >= 1.4x faster at the 50k tier."""
-
-    def make(values, universe):
-        return _process_shard(values, universe, backend, transport="pipe")
-
+    # This row feeds the frozen-baseline ring gate, whose 1.4x floor
+    # leaves far less margin than the 30% tolerance band — so give its
+    # min estimator more samples to find the quiet-machine floor
+    # through scheduler noise.
     _bench_ingest(benchmark, make, *value_stream, rounds=21)
 
 
@@ -169,13 +151,12 @@ def test_runtime_snapshot_fold(benchmark, value_stream):
 def test_multi_shard_speedup_is_at_least_2x(value_stream):
     """The ISSUE acceptance gate, asserted only at the full 50k scale.
 
-    Times pure ingest — producer dispatch plus, for the threaded path,
-    ``drain()`` so every accepted batch is actually applied before the
-    clock stops. The snapshot fold is measured separately above.
+    Times pure ingest — producer dispatch plus ``drain()`` for the
+    multi-shard path. The snapshot fold is measured separately above.
     Scaled-down smoke runs (e.g. CI at 10k) still execute both paths —
     exercising the runtime end to end — but their ratio is dominated by
-    thread start-up and queue handshakes, so the 2x floor applies only
-    at the scale the claim is documented for.
+    the single shard's cold start, so the 2x floor applies only at the
+    scale the claim is documented for.
     """
     values, universe = value_stream
 
@@ -211,14 +192,14 @@ def test_process_speedup_is_at_least_1_5x(value_stream):
 
     Same methodology as the 2x floor above — pure ingest plus
     ``drain()``, best of three — comparing the multiprocess executor
-    against the threaded executor on the *same* columnar backend, so
-    the ratio isolates what the process executor adds: no GIL over the
-    shard kernels, raw-frame dispatch, and each worker's cross-frame
-    combining buffer feeding the cold-start bulk build. Mirrored in CI
-    by ``check_regression.py``'s process-executor gate over the same
-    two rows of ``BENCH_core_throughput.json``. Smoke scales run both
-    paths but skip the floor: process spawn and pipe handshakes
-    dominate there.
+    against the serial executor on the *same* columnar backend and
+    shard configuration, so the ratio isolates what the process
+    executor adds: no GIL over the shard kernels, raw-frame dispatch,
+    and each worker's cross-frame combining buffer feeding the
+    cold-start bulk build. Mirrored in CI by ``check_regression.py``'s
+    process-executor gate over the same two rows of
+    ``BENCH_core_throughput.json``. Smoke scales run both paths but
+    skip the floor: process spawn and ring handshakes dominate there.
     """
     values, universe = value_stream
 
@@ -233,17 +214,17 @@ def test_process_speedup_is_at_least_1_5x(value_stream):
                 assert profiler.snapshot().events == EVENTS
         return best
 
-    threaded = timed_ingest(
+    serial = timed_ingest(
         lambda v, u: _multi_shard(v, u, backend="columnar")
     )
     process = timed_ingest(_process_shard)
-    speedup = threaded / process
+    speedup = serial / process
     print(
-        f"\nthreaded {EVENTS / threaded:,.0f} ev/s, "
+        f"\nserial {EVENTS / serial:,.0f} ev/s, "
         f"process {EVENTS / process:,.0f} ev/s ({speedup:.2f}x)"
     )
     if EVENTS >= 50_000:
         assert speedup >= 1.5, (
-            f"process-executor ingest only {speedup:.2f}x the threaded "
+            f"process-executor ingest only {speedup:.2f}x the serial "
             f"executor at {EVENTS} events (required >= 1.5x)"
         )

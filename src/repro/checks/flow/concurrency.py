@@ -432,7 +432,7 @@ class BlockingUnderLockRule(Rule):
     rationale = (
         "a thread that blocks (.join(), queue put/get, sleeps, IO, "
         "waiting on an unrelated condition) while holding a "
-        "ShardQueue/ingest lock stalls every producer behind that "
+        "profiler ingest lock stalls every producer behind that "
         "lock, and deadlocks outright if the thing waited on needs the "
         "same lock; Condition.wait on the lock's own condition is the "
         "sanctioned exception because the wait releases it"

@@ -10,18 +10,18 @@ can see; this module checks the same contracts on a *live* run. A
   a mutation from any other thread is a confinement violation, caught
   even on backends whose own ``_assert_owner`` checks are compiled out
   or bypassed;
+* shard trees that are not confined to a thread but guarded by a lock
+  (the serial executor's trees, mutated only under the profiler's
+  ingest lock) flag any mutation made without holding that lock;
 * locks become tracked proxies that remember their holder, so a release
   from a non-holder (or a fold entered without the ingest lock) is
-  flagged immediately;
-* shard queues log every ``put``/``take``/``task_done`` into a bounded
-  happens-before log with a logical sequence counter, and enforce the
-  single-consumer discipline each queue is designed around.
+  flagged immediately.
 
 Violations raise :class:`RapSanitizerError` at the offending call, with
 the tail of the happens-before log attached so the interleaving that
 led there is visible. Enable via ``RapConfig(debug_sanitize=True)`` (the
 :class:`~repro.runtime.profiler.Profiler` attaches a sanitizer to its
-own trees, queues and ingest lock) or replay a workload under
+own trees and ingest lock) or replay a workload under
 instrumentation with ``rap sanitize``.
 
 Everything here uses a logical clock (a monotonically increasing
@@ -48,16 +48,6 @@ TREE_MUTATORS: Tuple[str, ...] = (
     "add_batch",
     "merge_now",
 )
-
-#: ShardQueue methods logged into the happens-before log.
-QUEUE_METHODS: Tuple[str, ...] = (
-    "put",
-    "take",
-    "take_combined",
-    "task_done",
-    "close",
-)
-
 
 @dataclass(frozen=True)
 class SanitizerEvent:
@@ -159,14 +149,12 @@ class RapSanitizer:
         self._events: Deque[SanitizerEvent] = deque(maxlen=log_capacity)
         self._violations: List[str] = []
         # id(tree) -> (label, owning (pid, thread ident) or None when
-        # unconfined). The pid half generalizes confinement from the
-        # threaded executor to the process executor: a worker-confined
-        # tree rejects mutation from any other process too.
+        # unconfined). The pid half makes confinement hold across the
+        # process executor's fork: a worker-confined tree rejects
+        # mutation from any other process too.
         self._tree_owner: Dict[
             int, Tuple[str, Optional[Tuple[int, int]]]
         ] = {}
-        # id(queue) -> (label, consumer thread ident or None before first take)
-        self._queue_consumer: Dict[int, Tuple[str, Optional[int]]] = {}
         self._locks: List[_TrackedLock] = []
         # label -> latest report() dict received from a remote (worker
         # process) sanitizer; folded into this sanitizer's report.
@@ -204,7 +192,6 @@ class RapSanitizer:
                 "events_logged": self._logged,
                 "violations": violations,
                 "trees_tracked": len(self._tree_owner),
-                "queues_tracked": len(self._queue_consumer),
                 "locks_tracked": [lock.name for lock in self._locks],
                 "workers": {
                     label: dict(summary)
@@ -263,15 +250,15 @@ class RapSanitizer:
 
     def assert_lock_held(self, name: str, what: str) -> None:
         """Flag ``what`` if the named tracked lock is not held here."""
+        if not self._tracked(name).held_by_current_thread():
+            self._violation(f"{what} entered without holding {name}")
+
+    def _tracked(self, name: str) -> _TrackedLock:
         with self._state_lock:
             locks = list(self._locks)
         for tracked in locks:
             if tracked.name == name:
-                if not tracked.held_by_current_thread():
-                    self._violation(
-                        f"{what} entered without holding {name}"
-                    )
-                return
+                return tracked
         # An untracked lock is a wiring bug, not a race; fail loudly.
         raise ValueError(f"no tracked lock named {name!r}")
 
@@ -279,13 +266,19 @@ class RapSanitizer:
     # Tree confinement
     # ------------------------------------------------------------------
 
-    def attach_tree(self, tree: Any, label: str) -> None:
+    def attach_tree(
+        self, tree: Any, label: str, guard: Optional[str] = None
+    ) -> None:
         """Instrument a tree backend's mutating and confinement methods.
 
-        Wrapping is by instance-attribute shadowing, so only this one
-        object is affected — the class and every other instance keep
-        their unwrapped methods.
+        ``guard`` names a tracked lock (see :meth:`track_lock`) that
+        every mutation must hold: a mutation from a thread that does
+        not hold it is a violation, whether or not the tree is
+        confined. Wrapping is by instance-attribute shadowing, so only
+        this one object is affected — the class and every other
+        instance keep their unwrapped methods.
         """
+        guard_lock = self._tracked(guard) if guard is not None else None
         with self._state_lock:
             self._tree_owner[id(tree)] = (label, None)
 
@@ -326,6 +319,16 @@ class RapSanitizer:
                         f"pid {here[0]}); it is owned by (pid, thread) "
                         f"{owner}"
                     )
+                if (
+                    guard_lock is not None
+                    and not guard_lock.held_by_current_thread()
+                ):
+                    self._violation(
+                        f"guarded tree {label} mutated via "
+                        f".{method_name}() from thread "
+                        f"{threading.current_thread().name} without "
+                        f"holding {guard}"
+                    )
                 self._record("tree.mutate", f"{label}.{method_name}()")
                 return inner(*args, **kwargs)
 
@@ -340,44 +343,6 @@ class RapSanitizer:
             if inner is None:
                 continue
             tree.__dict__[method_name] = wrap_mutator(method_name, inner)
-
-    # ------------------------------------------------------------------
-    # Queue tracking
-    # ------------------------------------------------------------------
-
-    def attach_queue(self, queue: Any, label: str) -> None:
-        """Log a queue's operations and enforce single-consumer use."""
-        with self._state_lock:
-            self._queue_consumer[id(queue)] = (label, None)
-
-        def wrap(method_name: str, inner: Callable[..., Any]) -> Callable[..., Any]:
-            consuming = method_name in ("take", "take_combined")
-
-            def call(*args: Any, **kwargs: Any) -> Any:
-                if consuming:
-                    ident = threading.get_ident()
-                    with self._state_lock:
-                        _, consumer = self._queue_consumer[id(queue)]
-                        if consumer is None:
-                            self._queue_consumer[id(queue)] = (label, ident)
-                    if consumer is not None and consumer != ident:
-                        self._violation(
-                            f"queue {label} consumed via .{method_name}() "
-                            f"from thread "
-                            f"{threading.current_thread().name}, but its "
-                            f"consumer is thread ident {consumer}; "
-                            "ShardQueues are single-consumer"
-                        )
-                self._record("queue." + method_name, label)
-                return inner(*args, **kwargs)
-
-            return call
-
-        for method_name in QUEUE_METHODS:
-            inner = getattr(queue, method_name, None)
-            if inner is None:
-                continue
-            queue.__dict__[method_name] = wrap(method_name, inner)
 
     # ------------------------------------------------------------------
     # Fold protocol

@@ -32,8 +32,9 @@ Commands:
   through a sharded profiler under the runtime race sanitizer
   (``RapConfig(debug_sanitize=True)``): owner-thread assertions on
   every shard-tree mutation, lock-holder tracking, a happens-before
-  log. ``--inject-race`` deliberately mutates a confined shard tree
-  from a foreign thread to prove the instrumentation trips.
+  log. ``--inject-race`` deliberately mutates a shard tree from a
+  thread that does not hold the ingest lock guarding it, to prove the
+  instrumentation trips.
 
 Operational errors — an unknown experiment id, an unreadable or corrupt
 trace file — print a one-line diagnostic and exit with status 1 rather
@@ -127,21 +128,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("kind", choices=["code", "value", "narrow"])
     serve.add_argument("--shards", type=int, default=4)
     serve.add_argument(
-        "--executor",
-        choices=["thread", "serial", "process"],
-        default="thread",
+        "--executor", choices=["serial", "process"], default="serial"
     )
     serve.add_argument(
         "--partition", choices=["hash", "range"], default="hash"
-    )
-    serve.add_argument(
-        "--transport",
-        choices=["ring", "pipe"],
-        default=None,
-        help=(
-            "process-executor frame transport (default: the config "
-            "default, ring); ignored by serial/thread executors"
-        ),
     )
     serve.add_argument("--epsilon", type=float, default=0.01)
     serve.add_argument(
@@ -184,8 +174,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inject-race",
         action="store_true",
         help=(
-            "deliberately mutate a confined shard tree from a foreign "
-            "thread; the run must then report at least one violation"
+            "deliberately mutate a shard tree from a thread that does "
+            "not hold its guarding ingest lock; the run must then "
+            "report at least one violation"
         ),
     )
 
@@ -373,7 +364,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             shards=args.shards,
             executor=args.executor,
             partition=args.partition,
-            transport=args.transport,
             shard_epsilon=args.shard_epsilon,
             backpressure=args.backpressure,
             batch_size=args.batch_size,
@@ -384,15 +374,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 profiler.ingest(batch)
             snapshot = profiler.close()
         metrics = profiler.metrics
-        label = f"{args.executor}/{args.partition}"
-        if args.executor == "process":
-            # profiler.transport reflects any fallback from ring to pipe.
-            label += f"/{profiler.transport}"
+        # profiler.executor reflects a fallback from process to serial.
         print(
             f"{stream.name}: {metrics.events:,} events through "
-            f"{args.shards} shard(s) [{label}, {args.backpressure}]"
+            f"{args.shards} shard(s) [{profiler.executor}/"
+            f"{args.partition}, {args.backpressure}]"
         )
-        if args.executor == "process" and metrics.transport_stalls:
+        if metrics.transport_stalls:
             print(
                 f"  transport: {metrics.transport_stalls} ring-space "
                 f"stall(s), {metrics.transport_stall_s * 1e3:.1f} ms waiting"
@@ -402,7 +390,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"  shard {shard.shard}: {shard.events:,} events in "
                 f"{shard.batches} batches, {shard.node_count} nodes, "
                 f"{shard.splits} splits, {shard.merge_batches} merges, "
-                f"queue depth<={shard.max_queue_depth}, "
                 f"dropped={shard.dropped_events}, "
                 f"spilled={shard.spilled_batches}"
             )
@@ -455,10 +442,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 profiler.ingest(batch)
             profiler.drain()
             if args.inject_race:
-                # Deliberate fault injection: mutate a confined shard
-                # tree from a thread that does not own it. The wrapped
-                # mutator must record the violation and raise before
-                # the tree is touched, so the run stays deterministic.
+                # Deliberate fault injection: mutate a shard tree from
+                # a thread that does not hold the ingest lock guarding
+                # it. The wrapped mutator must record the violation and
+                # raise before the tree is touched, so the run stays
+                # deterministic.
                 def _race() -> None:
                     try:
                         profiler._trees[0].add(0)  # noqa: SLF001 - deliberate fault injection
@@ -480,7 +468,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"  happens-before log: {summary['events_logged']} events "
             f"({summary['trees_tracked']} trees, "
-            f"{summary['queues_tracked']} queues, "
             f"{len(summary['locks_tracked'])} locks tracked)"
         )
         violations = sanitizer.violations

@@ -71,37 +71,28 @@ class RapConfig:
         knob; it is construction-time only and never serialized.
     executor:
         Which runtime a :class:`~repro.runtime.profiler.Profiler` built
-        from this config uses to drive its shards: ``"serial"``
-        (inline on the calling thread), ``"thread"`` (one worker thread
-        per shard behind bounded queues, the default) or ``"process"``
-        (one worker process per shard, each owning a columnar tree in
-        shared memory — requires ``backend="columnar"``). Like
-        ``backend`` it selects an observably-equivalent engine, is
-        construction-time only, and is never serialized.
+        from this config uses to drive its shards: ``"serial"`` (inline
+        on the calling thread, the default) or ``"process"`` (one worker
+        process per shard, each owning a columnar tree in shared memory
+        fed through a shared-memory ring — requires
+        ``backend="columnar"``; falls back to ``"serial"`` when shared
+        memory is unavailable). Like ``backend`` it selects an
+        observably-equivalent engine, is construction-time only, and is
+        never serialized.
     shards:
         How many shard trees that profiler partitions the stream
         across (``>= 1``). Construction-time only, never serialized.
-    transport:
-        How the process executor moves partitioned frames to its shard
-        workers: ``"ring"`` (the default — binary counted frames
-        through a shared-memory SPSC ring buffer per shard, zero
-        pickle on the data path; see :mod:`repro.runtime.ring`) or
-        ``"pipe"`` (pickle-framed ``multiprocessing`` pipes fed by
-        per-shard feeder threads — the fallback when POSIX shared
-        memory is unavailable, which the runtime also selects
-        automatically). Ignored by the serial and thread executors,
-        which move nothing between processes. Construction-time only,
-        never serialized.
     debug_sanitize:
         If true, a :class:`~repro.checks.sanitizer.RapSanitizer` is
         attached to every :class:`~repro.runtime.profiler.Profiler`
-        built from this config: shard trees get owner-thread
-        assertions on every mutating call, shard queues get a
-        happens-before log, and any confinement or lock-discipline
-        violation raises immediately with the recorded event trail. A
-        debug hook — it adds a per-call bookkeeping cost, so keep it
-        off (the default) outside tests and race hunts. Like
-        ``backend`` it is construction-time only and never serialized.
+        built from this config: shard trees get owner-thread or
+        guarding-lock assertions on every mutating call, locks and
+        mutations go into a happens-before log, and any confinement or
+        lock-discipline violation raises immediately with the recorded
+        event trail. A debug hook — it adds a per-call bookkeeping
+        cost, so keep it off (the default) outside tests and race
+        hunts. Like ``backend`` it is construction-time only and never
+        serialized.
     """
 
     range_max: int
@@ -114,9 +105,8 @@ class RapConfig:
     timeline_sample_every: int = 0
     audit_every: int = 0
     backend: str = "object"
-    executor: str = "thread"
+    executor: str = "serial"
     shards: int = 1
-    transport: str = "ring"
     debug_sanitize: bool = False
 
     def __post_init__(self) -> None:
@@ -154,17 +144,20 @@ class RapConfig:
                 "backend must be 'object' or 'columnar', got "
                 f"{self.backend!r}"
             )
-        if self.executor not in ("serial", "thread", "process"):
+        if self.executor == "thread":
             raise ValueError(
-                "executor must be 'serial', 'thread' or 'process', got "
+                "executor='thread' was removed: use executor='serial', "
+                "which builds the same trees faster (or "
+                "executor='process' with backend='columnar' for worker "
+                "processes)"
+            )
+        if self.executor not in ("serial", "process"):
+            raise ValueError(
+                "executor must be 'serial' or 'process', got "
                 f"{self.executor!r}"
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.transport not in ("ring", "pipe"):
-            raise ValueError(
-                f"transport must be 'ring' or 'pipe', got {self.transport!r}"
-            )
         if self.executor == "process" and self.backend != "columnar":
             raise ValueError(
                 "executor='process' requires backend='columnar': worker "
@@ -172,7 +165,7 @@ class RapConfig:
                 "arrays, which the object backend's linked RapNode graph "
                 "cannot provide. Use RapConfig(..., backend='columnar', "
                 "executor='process'), or keep backend='object' with the "
-                "'thread' or 'serial' executor."
+                "'serial' executor."
             )
 
     @property

@@ -21,14 +21,12 @@ class ShardMetrics:
     """Ingestion counters for one worker shard.
 
     ``transport_stalls`` / ``transport_stall_s`` count how often (and,
-    with a clock, for how long) the producer blocked waiting for the
-    shard's transport to make room — ring-space waits under the
-    process executor's ring transport. They read zero under the serial
-    and thread executors and the pipe transport, whose blocking waits
-    are already visible as queue backpressure. ``ring_peak_bytes`` is
-    the high-water occupancy of the shard's ring (zero off-ring);
-    ``transport_stall_s`` is time-shaped and stays ``0.0`` without a
-    clock, like every other duration here.
+    with a clock, for how long) the producer blocked waiting for ring
+    space under the process executor; ``ring_peak_bytes`` is the
+    high-water occupancy of the shard's ring. All three — like the
+    drop/spill counters — read zero under the serial executor, whose
+    ingest is synchronous. ``transport_stall_s`` is time-shaped and
+    stays ``0.0`` without a clock, like every other duration here.
     """
 
     shard: int
@@ -37,7 +35,6 @@ class ShardMetrics:
     dropped_batches: int = 0
     dropped_events: int = 0
     spilled_batches: int = 0
-    max_queue_depth: int = 0
     transport_stalls: int = 0
     transport_stall_s: float = 0.0
     ring_peak_bytes: int = 0
@@ -53,7 +50,6 @@ class ShardMetrics:
             "dropped_batches": self.dropped_batches,
             "dropped_events": self.dropped_events,
             "spilled_batches": self.spilled_batches,
-            "max_queue_depth": self.max_queue_depth,
             "transport_stalls": self.transport_stalls,
             "transport_stall_s": self.transport_stall_s,
             "ring_peak_bytes": self.ring_peak_bytes,

@@ -1,55 +1,54 @@
 """The ``Profiler`` service object: sharded ingestion over RAP trees.
 
 ``Profiler`` is the API v2 top-level entry point for profiling a
-stream. It owns ``N`` shard trees, a deterministic partitioner mapping
-each event value to its shard, and — depending on the executor — a
-worker thread or worker *process* per shard fed through a bounded
-:class:`ShardQueue`:
+stream. It owns ``N`` shard trees and a deterministic partitioner
+mapping each event value to its shard; the executor decides where the
+shard trees live:
 
 .. code-block:: text
 
-    ingest(values)                       coordinating thread
-        └─ partition + duplicate-combine (numpy, one pass)
-             ├─ queue[0] ── worker 0 ── RapTree shard 0   (confined)
-             ├─ queue[1] ── worker 1 ── RapTree shard 1   (confined)
-             └─ ...
-    snapshot()  =  quiesce every queue, then fold the shard trees
+    ingest(values)                       calling thread, ingest lock held
+        └─ partition (numpy, one pass)
+             ├─ serial:  shard tree 0..N-1 in this process, applied inline
+             └─ process: ring[i] ── worker process i ── columnar shard i
+                         (shared memory)                 (shared memory)
+    snapshot()  =  quiesce every shard, then fold the shard trees
                    with ``combine_many`` into one consistent tree
 
 The executor is selected uniformly through the config —
-``RapConfig(executor="serial"|"thread"|"process", shards=N)`` — with
-the constructor keywords as call-site overrides:
+``RapConfig(executor="serial"|"process", shards=N)`` — with the
+constructor keywords as call-site overrides:
 
-* ``"serial"`` applies every batch inline on the calling thread.
-* ``"thread"`` (default) runs one worker thread per shard; shard trees
-  live in this process, thread-confined.
-* ``"process"`` runs one worker *process* per shard (requires
+* ``"serial"`` (default) partitions each chunk, duplicate-combines it
+  per shard and applies it inline on the calling thread. Shard trees
+  live in this process and are mutated only under the ingest lock.
+* ``"process"`` runs one worker process per shard (requires
   ``backend="columnar"``): each worker owns a columnar tree whose
-  columns live in shared memory (:mod:`repro.runtime.shm`), fed
-  array-shaped counted frames over a pipe by a per-shard feeder thread
-  that drains the same bounded :class:`ShardQueue` — so the
-  block/drop/spill backpressure discipline, dispositions and metrics
-  are identical across executors. Snapshots attach the quiesced
-  workers' columns zero-copy and fold them in the parent (serialized
-  exchange as fallback when shared memory is unavailable).
+  columns live in shared memory (:mod:`repro.runtime.shm`), fed binary
+  counted frames through a shared-memory SPSC ring
+  (:mod:`repro.runtime.ring`) that carries the block/drop/spill
+  backpressure policy. Snapshots attach the quiesced workers' columns
+  zero-copy and fold them in the parent. When shared memory turns out
+  to be unavailable at ``open()``, the profiler reaps its workers and
+  runs as ``"serial"`` instead (with a ``RuntimeWarning``).
 
 Lifecycle: ``open() → ingest()* → snapshot()* → close()``; the object
 is also a context manager. ``query(lo, hi)`` is sugar for
 ``snapshot().estimate(lo, hi)`` (snapshots are cached per epoch, so
 repeated queries between ingests fold only once). ``close()`` reaps
-every worker — threads joined, processes exited and their
-shared-memory segments unlinked — on all paths, including after a
-worker failure.
+every worker — processes exited and their shared-memory segments
+unlinked — on all paths, including after a worker failure.
 
 Consistency model: a snapshot is taken on an *epoch boundary* — new
-ingests are locked out, every accepted batch is drained (and, under
-the process executor, every worker acknowledges a sync marker that
-trails its batches in pipe order), and only then are the shard trees
-folded. The snapshot therefore reflects exactly the events accepted
-before the call, no torn batches. Under the ``block`` and ``spill``
-backpressure policies the shard trees (and hence every snapshot) are a
-deterministic function of the ingested stream; ``drop`` trades that
-determinism for bounded memory and latency.
+ingests are locked out and, under the process executor, every worker
+acknowledges a sync frame that trails its data frames in ring order —
+and only then are the shard trees folded. The snapshot therefore
+reflects exactly the events accepted before the call, no torn batches.
+Under the ``block`` and ``spill`` backpressure policies the shard trees
+(and hence every snapshot) are a deterministic function of the
+ingested stream; ``drop`` trades that determinism for bounded memory
+and latency. Serial ingest is synchronous, so nothing is ever dropped
+or spilled there.
 
 Accuracy: each shard undercounts by at most ``eps_shard * n_shard``, so
 the folded snapshot undercounts any range by at most
@@ -89,8 +88,8 @@ from ..core.serialize import FRAME_BATCH, FRAME_CBATCH
 from ..core.tree import RapTree
 from .metrics import RuntimeMetrics, ShardMetrics
 from .partition import Partitioner, make_partitioner
-from .queues import Batch, ShardQueue
 from .ring import (
+    _POLICIES,
     DEFAULT_RING_BYTES,
     MIN_RING_BYTES,
     RingProducer,
@@ -101,7 +100,26 @@ from .shm import ShmArena, ShmAttachment, sweep_prefix
 Clock = Callable[[], float]
 Values = Union[np.ndarray, Iterable[int]]
 
-_EXECUTORS = ("serial", "thread", "process")
+#: Constructor keywords that no longer exist, each with its fix. Passing
+#: one raises ``TypeError`` carrying this text instead of being ignored.
+_REMOVED_KEYWORDS: Dict[str, str] = {
+    "threads": (
+        "Profiler(threads=N) was removed with the thread executor; use "
+        "Profiler(config, shards=N) — executor='serial' builds the same "
+        "trees"
+    ),
+    "transport": (
+        "Profiler(transport=...) was removed: the process executor "
+        "always moves frames through shared-memory rings and falls back "
+        "to executor='serial' when shared memory is unavailable; drop "
+        "the keyword"
+    ),
+    "queue_capacity": (
+        "Profiler(queue_capacity=...) was removed with the shard "
+        "queues: serial ingest is synchronous and the process "
+        "executor's bound is ring_bytes=; drop the keyword"
+    ),
+}
 
 #: How long (seconds) to poll a live worker for a protocol reply before
 #: re-checking liveness, and how long to wait for voluntary exit before
@@ -121,9 +139,8 @@ def _frame_values(part: np.ndarray) -> np.ndarray:
     plain Python lists arrive as ``int64`` (also native). Anything else
     — ``int32``, object arrays of Python ints — is widened once here.
     Values the tree would reject (negatives, non-integers) still flow
-    through and fail inside the worker exactly as the pipe transport's
-    pickled frames would, except out-of-``int64``-range object arrays,
-    which are re-tried as ``uint64``.
+    through and fail inside the worker, except out-of-``int64``-range
+    object arrays, which are re-tried as ``uint64``.
     """
     if part.dtype in _FRAME_DTYPES:
         return part
@@ -141,10 +158,10 @@ class WorkerCrashed(RuntimeError):
     Raised by ``drain()``/``snapshot()``/``close()`` instead of hanging
     when a worker was killed (OOM, SIGKILL, crash): carries the shard
     index and exit code so the failure is diagnosable from the message.
-    Under the ring transport it also carries the ring's frame counters
-    — ``committed`` frames published by the producer and ``consumed``
-    frames the worker had taken — pinpointing exactly how far the
-    shard's stream got before the crash.
+    When the shard's ring is live it also carries the ring's frame
+    counters — ``committed`` frames published by the producer and
+    ``consumed`` frames the worker had taken — pinpointing exactly how
+    far the shard's stream got before the crash.
     """
 
     def __init__(
@@ -176,7 +193,7 @@ class WorkerCrashed(RuntimeError):
 
 
 class Profiler:
-    """Sharded, concurrent RAP profiling service.
+    """Sharded RAP profiling service.
 
     Parameters
     ----------
@@ -189,18 +206,12 @@ class Profiler:
         Number of shard trees (``>= 1``). ``None`` (default) inherits
         ``config.shards``.
     executor:
-        ``None`` (default) inherits ``config.executor``. ``"thread"``
-        runs one worker thread per shard behind bounded queues;
-        ``"serial"`` processes every batch inline on the calling thread
-        — deterministic scheduling, no queues, the mode the deprecation
-        shim and oracle tests use; ``"process"`` runs one worker
-        process per shard over shared-memory columnar trees (requires
-        ``backend="columnar"``).
-    threads:
-        Deprecated alias from the thread-only runtime: ``threads=N``
-        means ``shards=N, executor="thread"``. Emits a
-        ``DeprecationWarning``; use ``shards=``/``executor=`` (or the
-        config fields) instead.
+        ``None`` (default) inherits ``config.executor``. ``"serial"``
+        processes every batch inline on the calling thread —
+        deterministic scheduling, no worker to start; ``"process"``
+        runs one worker process per shard over shared-memory columnar
+        trees (requires ``backend="columnar"``) and falls back to
+        ``"serial"`` at ``open()`` when shared memory is unavailable.
     partition:
         ``"hash"`` (default) or ``"range"`` — see
         :mod:`repro.runtime.partition`.
@@ -210,38 +221,28 @@ class Profiler:
         ``N * config.epsilon`` keeps the single-tree node budget with an
         ``shard_epsilon * n`` snapshot bound (the equal-memory config
         the multi-shard benchmark uses).
-    queue_capacity / backpressure:
-        Bounds and overflow policy of the per-shard transport —
-        ``"block"`` / ``"drop"`` / ``"spill"``. Under the thread
-        executor (and the process executor's pipe transport) the policy
-        lives on each bounded :class:`ShardQueue`; under the ring
-        transport the same policy vocabulary, dispositions and
-        counters apply to the shared-memory ring directly
-        (``queue_capacity`` is then unused — the bound is
-        ``ring_bytes``). See :mod:`repro.runtime.queues` and
-        :mod:`repro.runtime.ring`.
+    backpressure:
+        Overflow policy of each process-executor shard ring —
+        ``"block"`` / ``"drop"`` / ``"spill"`` (see
+        :mod:`repro.runtime.ring`). Validated for every executor; the
+        serial executor applies batches synchronously, so none ever
+        overflows there.
     batch_size:
         Ingest calls chop their input into chunks of this many events
-        before partitioning, bounding queue memory per slot.
-    transport:
-        Process-executor frame transport: ``"ring"`` (shared-memory
-        SPSC ring buffers carrying binary counted frames — the
-        default, zero pickle on the data path) or ``"pipe"``
-        (pickle-framed pipes fed by feeder threads). ``None``
-        (default) inherits ``config.transport``. Ignored by the
-        serial and thread executors. If POSIX shared memory turns out
-        to be unavailable at ``open()``, the profiler falls back to
-        ``"pipe"`` automatically.
+        before partitioning, bounding per-frame memory.
     ring_bytes:
-        Size of each shard's shared ring region under the ring
-        transport (counter header included). The default (4 MiB)
-        comfortably holds several worker combining windows; tests use
-        small rings to exercise wrap-around and backpressure.
+        Size of each shard's shared ring region (counter header
+        included). The default (4 MiB) comfortably holds several worker
+        combining windows; tests use small rings to exercise
+        wrap-around and backpressure.
     clock:
         Optional zero-arg callable returning seconds (e.g.
         ``time.perf_counter`` passed *as a function*). When provided,
         time-shaped metrics are recorded; when ``None`` they stay
         ``0.0`` and every metric is deterministic.
+
+    The removed keywords ``threads=``, ``transport=`` and
+    ``queue_capacity=`` raise ``TypeError`` naming their replacement.
     """
 
     def __init__(
@@ -250,56 +251,43 @@ class Profiler:
         *,
         shards: Optional[int] = None,
         executor: Optional[str] = None,
-        threads: Optional[int] = None,
         partition: str = "hash",
         shard_epsilon: Optional[float] = None,
-        queue_capacity: int = 8,
         backpressure: str = "block",
         batch_size: int = 4096,
-        transport: Optional[str] = None,
         ring_bytes: int = DEFAULT_RING_BYTES,
         clock: Optional[Clock] = None,
+        **removed: object,
     ) -> None:
-        if threads is not None:
-            warnings.warn(
-                "Profiler(threads=N) is deprecated; use "
-                "Profiler(config, shards=N, executor='thread') or set "
-                "RapConfig(shards=N, executor='thread')",
-                DeprecationWarning,
-                stacklevel=2,
+        for name in removed:
+            raise TypeError(
+                _REMOVED_KEYWORDS.get(
+                    name,
+                    f"Profiler() got an unexpected keyword argument {name!r}",
+                )
             )
-            if shards is None:
-                shards = threads
-            if executor is None:
-                executor = "thread"
         if shards is None:
             shards = config.shards
         if executor is None:
             executor = config.executor
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if executor not in _EXECUTORS:
+        # Route the resolved knobs through the config's own validation
+        # so every executor/shards/backend combination fails with one
+        # message (notably executor='process' + backend='object').
+        config.with_updates(executor=executor, shards=shards)
+        if backpressure not in _POLICIES:
             raise ValueError(
-                f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
+                f"unknown backpressure policy {backpressure!r}; "
+                f"expected one of {_POLICIES}"
             )
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if transport is None:
-            transport = config.transport
         if ring_bytes < MIN_RING_BYTES:
             raise ValueError(
                 f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes}"
             )
-        # Route the resolved knobs through the config's own validation
-        # so every executor/backend/transport combination fails with one
-        # message (notably executor='process' + backend='object').
-        config.with_updates(
-            executor=executor, shards=shards, transport=transport
-        )
         self._config = config
         self._shards = shards
         self._executor = executor
-        self._transport = transport
         self._backpressure = backpressure
         self._ring_bytes = ring_bytes
         self._partitioner: Partitioner = make_partitioner(
@@ -311,46 +299,14 @@ class Profiler:
         self._shard_config = shard_config
         self._batch_size = batch_size
         self._clock = clock
-        # In-process shard trees (serial and thread executors). Under
-        # the process executor the trees live in the workers; the
-        # parent holds per-shard sync state instead.
-        self._trees: List[RapTree] = []
-        if executor != "process":
-            self._trees = [
-                RapTree.from_config(shard_config) for _ in range(shards)
-            ]
-        self._queues: List[ShardQueue] = []
-        if executor in ("thread", "process"):
-            self._queues = [
-                ShardQueue(queue_capacity, backpressure)
-                for _ in range(shards)
-            ]
-        self._workers: List[threading.Thread] = []
-        # Process-executor plumbing: one worker process + duplex pipe
-        # per shard (plus, under the pipe transport, a feeder thread),
-        # plus the latest synced payload. Under the ring transport the
-        # parent owns one ring arena + producer per shard; the final
-        # producer stats survive teardown for post-close metrics.
-        self._processes: List[multiprocessing.process.BaseProcess] = []
-        self._conns: List = []
-        self._ring_arenas: List[ShmArena] = []
-        self._rings: List[RingProducer] = []
-        self._ring_tables: List[Optional[Dict[str, object]]] = []
-        self._ring_stats: List[Optional[Dict[str, object]]] = [
-            None for _ in range(shards)
-        ]
-        self._shard_states: List[Optional[Dict[str, object]]] = [
-            None for _ in range(shards)
-        ]
-        # Namespace for this profiler's shared-memory segments; close()
-        # sweeps it as a crash backstop, so it must exist before open().
-        self._shm_prefix = f"rap-{os.getpid():x}-{os.urandom(3).hex()}-"
         # created → open → closed
         self._state = "created"
-        # Serializes producers against snapshot epochs.
+        # Serializes producers against snapshot epochs; under the serial
+        # executor it is also the only thing shard trees are mutated
+        # under.
         self._ingest_lock = threading.Lock()
-        # Optional race sanitizer: wraps the trees, queues and the
-        # ingest lock with confinement/lock-discipline assertions. The
+        # Optional race sanitizer: wraps the ingest lock and the
+        # in-process shard trees with lock-discipline assertions. The
         # process executor runs one more sanitizer *inside* each worker
         # (trees in another address space cannot be wrapped from here)
         # and merges their reports on every sync.
@@ -364,10 +320,30 @@ class Profiler:
             self._ingest_lock = self._sanitizer.track_lock(
                 self._ingest_lock, "Profiler._ingest_lock"
             )
-            for index, tree in enumerate(self._trees):
-                self._sanitizer.attach_tree(tree, f"shard[{index}]")
-            for index, queue in enumerate(self._queues):
-                self._sanitizer.attach_queue(queue, f"queue[{index}]")
+        # In-process shard trees (serial executor). Under the process
+        # executor the trees live in the workers; the parent holds
+        # per-shard sync state instead.
+        self._trees: List[RapTree] = []
+        if executor == "serial":
+            self._build_trees()
+        # Process-executor plumbing: one worker process, control pipe,
+        # ring arena and ring producer per shard, plus the latest synced
+        # payload. The final producer stats survive teardown for
+        # post-close metrics.
+        self._processes: List[multiprocessing.process.BaseProcess] = []
+        self._conns: List = []
+        self._ring_arenas: List[ShmArena] = []
+        self._rings: List[RingProducer] = []
+        self._ring_tables: List[Dict[str, object]] = []
+        self._ring_stats: List[Optional[Dict[str, object]]] = [
+            None for _ in range(shards)
+        ]
+        self._shard_states: List[Optional[Dict[str, object]]] = [
+            None for _ in range(shards)
+        ]
+        # Namespace for this profiler's shared-memory segments; close()
+        # sweeps it as a crash backstop, so it must exist before open().
+        self._shm_prefix = f"rap-{os.getpid():x}-{os.urandom(3).hex()}-"
         self._errors: List[BaseException] = []
         # Per-shard accepted-event / batch counters (producer side).
         self._shard_events = [0] * shards
@@ -377,6 +353,18 @@ class Profiler:
         self._ingest_seconds = 0.0
         self._snapshot_cache: Optional[TreeBackend] = None
         self._snapshot_epoch: Optional[Tuple[int, ...]] = None
+
+    def _build_trees(self) -> None:
+        """Create the in-process shard trees (serial executor)."""
+        self._trees = [
+            RapTree.from_config(self._shard_config)
+            for _ in range(self._shards)
+        ]
+        if self._sanitizer is not None:
+            for index, tree in enumerate(self._trees):
+                self._sanitizer.attach_tree(
+                    tree, f"shard[{index}]", guard="Profiler._ingest_lock"
+                )
 
     @classmethod
     def from_config(cls, config: RapConfig, **options: object) -> "Profiler":
@@ -397,17 +385,12 @@ class Profiler:
 
     @property
     def executor(self) -> str:
-        """The resolved executor this profiler runs on."""
-        return self._executor
+        """The executor this profiler runs on.
 
-    @property
-    def transport(self) -> str:
-        """The resolved frame transport (``"ring"`` or ``"pipe"``).
-
-        Meaningful under the process executor only; after ``open()``
-        this reflects any fallback from ring to pipe.
+        After ``open()`` this reflects a fallback from ``"process"`` to
+        ``"serial"`` when shared memory was unavailable.
         """
-        return self._transport
+        return self._executor
 
     @property
     def closed(self) -> bool:
@@ -419,61 +402,62 @@ class Profiler:
         return self._sanitizer
 
     def open(self) -> "Profiler":
-        """Start the runtime (spawns workers under thread/process executors)."""
+        """Start the runtime (spawns the workers under ``"process"``).
+
+        Shared memory unavailable — an ``OSError`` allocating the
+        parent's rings, or a worker reporting that its column arena
+        failed — is handled here, once: the workers are reaped, this
+        profiler's ``/dev/shm`` namespace is swept, and the profiler
+        runs as ``"serial"`` with in-process shard trees, emitting a
+        ``RuntimeWarning``.
+        """
         if self._state != "created":
             raise RuntimeError(f"cannot open a {self._state} Profiler")
         if self._executor == "process":
-            if self._transport == "ring":
-                self._setup_rings()  # may fall back to the pipe transport
-            self._spawn_processes()
+            try:
+                self._setup_rings()
+            except OSError as error:
+                problem: Optional[str] = f"ring allocation failed: {error}"
+            else:
+                problem = self._spawn_processes()
+            if problem is not None:
+                self._reap_processes()
+                self._fall_back_to_serial(problem)
         self._state = "open"
-        if self._executor == "process" and self._transport == "ring":
-            # Ring transport: the dispatching thread writes frames
-            # straight into each shard's ring — no feeder threads, no
-            # queue hop, no pickle. The queues stay constructed but
-            # idle (close() and drain() treat them uniformly).
-            return self
-        for shard in range(len(self._queues)):
-            worker = threading.Thread(
-                target=(
-                    self._feeder_loop
-                    if self._executor == "process"
-                    else self._worker_loop
-                ),
-                args=(shard,),
-                name=f"rap-shard-{shard}",
-                daemon=True,
-            )
-            self._workers.append(worker)
-            worker.start()
         return self
+
+    def _fall_back_to_serial(self, problem: str) -> None:
+        warnings.warn(
+            f"shared memory is unavailable ({problem}); this Profiler "
+            "runs executor='serial' instead of 'process'",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        self._executor = "serial"
+        self._ring_stats = [None for _ in range(self._shards)]
+        self._build_trees()
 
     def _setup_rings(self) -> None:
         """Allocate one shared ring region + producer per shard.
 
         Runs before the workers fork so both sides see the segments.
-        If this host has no usable POSIX shared memory the profiler
-        silently falls back to the pipe transport — the same probe the
-        workers run for their column arenas.
+        An ``OSError`` here means this host has no usable POSIX shared
+        memory; ``open()`` turns it into the serial fallback.
         """
-        try:
-            for shard in range(self._shards):
-                arena = ShmArena(f"{self._shm_prefix}r{shard}-")
-                self._ring_arenas.append(arena)
-                region = arena.allocate("ring", np.uint8, self._ring_bytes)
-                self._rings.append(
-                    RingProducer(
-                        region,
-                        policy=self._backpressure,
-                        liveness=self._worker_alive(shard),
-                        on_wake=self._nudger(shard),
-                        clock=self._clock,
-                    )
+        for shard in range(self._shards):
+            arena = ShmArena(f"{self._shm_prefix}r{shard}-")
+            self._ring_arenas.append(arena)
+            region = arena.allocate("ring", np.uint8, self._ring_bytes)
+            self._rings.append(
+                RingProducer(
+                    region,
+                    policy=self._backpressure,
+                    liveness=self._worker_alive(shard),
+                    on_wake=self._nudger(shard),
+                    clock=self._clock,
                 )
-                self._ring_tables.append(arena.segment_table())
-        except OSError:
-            self._teardown_rings(keep_stats=False)
-            self._transport = "pipe"
+            )
+            self._ring_tables.append(arena.segment_table())
 
     def _worker_alive(self, shard: int) -> Callable[[], bool]:
         def alive() -> bool:
@@ -499,39 +483,40 @@ class Profiler:
 
         return nudge
 
-    def _teardown_rings(self, keep_stats: bool = True) -> None:
+    def _teardown_rings(self) -> None:
         """Drop producers and unlink ring arenas (idempotent).
 
         Producer views must die before the arena mappings close; the
         final counters are snapshotted first so :attr:`metrics` keeps
         reporting transport stalls after close().
         """
-        if keep_stats:
-            for shard, producer in enumerate(self._rings):
-                self._ring_stats[shard] = {
-                    "transport_stalls": producer.stalls,
-                    "transport_stall_s": producer.stall_seconds,
-                    "ring_peak_bytes": producer.peak_bytes,
-                    "dropped_batches": producer.dropped_batches,
-                    "dropped_events": producer.dropped_events,
-                    "spilled_batches": producer.spilled_batches,
-                }
+        for shard, producer in enumerate(self._rings):
+            self._ring_stats[shard] = {
+                "transport_stalls": producer.stalls,
+                "transport_stall_s": producer.stall_seconds,
+                "ring_peak_bytes": producer.peak_bytes,
+                "dropped_batches": producer.dropped_batches,
+                "dropped_events": producer.dropped_events,
+                "spilled_batches": producer.spilled_batches,
+            }
         self._rings = []
         self._ring_tables = []
         for arena in self._ring_arenas:
             arena.close()
         self._ring_arenas = []
 
-    def _spawn_processes(self) -> None:
-        """Fork one worker per shard, before any feeder thread exists.
+    def _spawn_processes(self) -> Optional[str]:
+        """Fork one worker per shard and wait for every ``ready``.
 
         Fork context when the platform offers it (cheap, inherits the
         loaded interpreter; safe here because no profiler threads are
-        running yet), spawn otherwise. Workers are daemonic so a
-        crashed parent cannot leave orphans ingesting forever.
+        running), spawn otherwise. Workers are daemonic so a crashed
+        parent cannot leave orphans ingesting forever. Returns the
+        first worker's report that its shared-memory column arena
+        failed, or ``None`` when every worker is ready to ingest.
         """
-        # Lazy import, noqa'd like the fold path: the worker module
-        # necessarily names the columnar kernel.
+        # Lazy import: the worker module necessarily names the columnar
+        # kernel.
         from .worker import worker_main
 
         methods = multiprocessing.get_all_start_methods()
@@ -548,11 +533,7 @@ class Profiler:
                         self._shard_config,
                         shard,
                         self._shm_prefix,
-                        (
-                            self._ring_tables[shard]
-                            if self._transport == "ring" and self._ring_tables
-                            else None
-                        ),
+                        self._ring_tables[shard],
                     ),
                     name=f"rap-shard-{shard}",
                     daemon=True,
@@ -567,11 +548,14 @@ class Profiler:
             # ingest — start-up cost lands here, not inside the first
             # ingest/drain. Waiting after starting them all lets the
             # warm-ups overlap across workers.
-            for shard in range(self._shards):
+            problems = [
                 self._recv_reply(shard, "ready")
+                for shard in range(self._shards)
+            ]
         except BaseException:
             self._reap_processes()
             raise
+        return next((problem for problem in problems if problem), None)
 
     def __enter__(self) -> "Profiler":
         return self.open()
@@ -586,9 +570,9 @@ class Profiler:
         After ``close()`` the profiler accepts no more events;
         ``snapshot()`` and ``query()`` keep answering from the final
         fold. Worker teardown is unconditional: even when a shard
-        failed mid-ingest and this raises, every worker thread is
-        joined, every worker process is exited (terminated if it will
-        not go), and every shared-memory segment is unlinked.
+        failed mid-ingest and this raises, every worker process is
+        exited (terminated if it will not go) and every shared-memory
+        segment is unlinked.
         """
         if self._state == "closed":
             if self._snapshot_cache is None:
@@ -601,15 +585,9 @@ class Profiler:
             raise RuntimeError("cannot close a Profiler that was never opened")
         with self._ingest_lock:
             try:
-                for queue in self._queues:
-                    queue.close()
-                for worker in self._workers:
-                    worker.join()  # noqa: RAP-LINT016 - workers never take this lock
                 if self._executor == "process":
                     self._sync_workers()
                 self._raise_worker_errors()
-                for tree in self._trees:
-                    tree.unconfine()
                 return self._fold_locked()
             finally:
                 self._state = "closed"
@@ -623,10 +601,7 @@ class Profiler:
         normally removes nothing — it exists for killed workers. Safe
         to call repeatedly and on partially-constructed state.
         """
-        if not self._processes:
-            if self._executor == "process":
-                self._teardown_rings()
-                sweep_prefix(self._shm_prefix)
+        if self._executor != "process":
             return
         for conn in self._conns:
             try:
@@ -675,11 +650,12 @@ class Profiler:
     def ingest(self, values: Values) -> None:
         """Feed raw event values (any iterable of ints or numpy array).
 
-        Values are chopped into chunks of ``batch_size``, partitioned to
-        shards, duplicate-combined per shard (``np.unique``), and either
-        enqueued to the shard workers (thread/process) or applied inline
-        (serial). Returns once every chunk is accepted — which, under
-        ``block`` backpressure, may wait for queue space.
+        Values are chopped into chunks of ``batch_size`` and partitioned
+        to shards. The serial executor duplicate-combines each shard's
+        part and applies it inline; the process executor writes the raw
+        parts into the shard rings. Returns once every chunk is
+        accepted — which, under ``block`` backpressure, may wait for
+        ring space.
         """
         self._check_ingestible()
         array = np.asarray(
@@ -710,37 +686,43 @@ class Profiler:
             for value, count in items:
                 buckets[shard_of(int(value))].append((int(value), int(count)))
             for shard, bucket in enumerate(buckets):
-                if bucket:
-                    weight = sum(count for _, count in bucket)
-                    if self._executor == "process":
-                        # Array-shaped counted frame; the worker's
-                        # combining buffer treats its counts as
-                        # weights, so this is observably one
-                        # pre-combined batch like the threaded path's.
-                        bucket.sort()
-                        values = np.asarray(
-                            [value for value, _ in bucket],
-                            dtype=np.uint64,
-                        )
-                        counts = np.asarray(
-                            [count for _, count in bucket],
-                            dtype=np.int64,
-                        )
-                        if self._transport == "ring":
-                            self._submit_ring(
-                                shard, FRAME_CBATCH, values, counts, weight
-                            )
-                        else:
-                            self._submit(
-                                shard, ("cbatch", values, counts), weight
-                            )
-                    else:
-                        self._submit(shard, bucket, weight)
+                if not bucket:
+                    continue
+                weight = sum(count for _, count in bucket)
+                if self._executor == "serial":
+                    self._apply(shard, bucket, weight)
+                    continue
+                # Array-shaped counted frame; the worker's combining
+                # buffer treats its counts as weights, so this is
+                # observably one pre-combined batch like the serial
+                # path's.
+                bucket.sort()
+                values = np.asarray(
+                    [value for value, _ in bucket], dtype=np.uint64
+                )
+                counts = np.asarray(
+                    [count for _, count in bucket], dtype=np.int64
+                )
+                self._submit_ring(shard, FRAME_CBATCH, values, counts, weight)
         if clock is not None:
             self._ingest_seconds += clock() - start
 
     def _dispatch_chunk(self, chunk: np.ndarray) -> None:
-        if self._shards == 1 and self._executor == "serial":
+        if self._executor == "process":
+            # Raw partitioned frames: no producer-side np.unique. The
+            # worker buffers frames and duplicate-combines its whole
+            # buffered substream in one pass (see ``worker_main``),
+            # which both shrinks the work per event and moves the
+            # combining sort off the dispatching thread. The
+            # partitioner's output arrays are encoded straight into
+            # each shard's shared ring — no queue hop, no pickle.
+            for shard, part in enumerate(self._partitioner.split(chunk)):
+                if len(part):
+                    self._submit_ring(
+                        shard, FRAME_BATCH, _frame_values(part), None, len(part)
+                    )
+            return
+        if self._shards == 1:
             # Single-shard passthrough: no partition, no combine — the
             # same per-event path a bare tree takes (and the honest
             # baseline the multi-shard benchmark compares against).
@@ -749,34 +731,17 @@ class Profiler:
             self._shard_events[0] += len(chunk)
             self._shard_batches[0] += 1
             return
-        if self._executor == "process":
-            # Raw partitioned frames: no producer-side np.unique. The
-            # worker buffers frames and duplicate-combines its whole
-            # buffered substream in one pass (see ``worker_main``),
-            # which both shrinks the transport payload and moves the
-            # combining sort off the dispatching thread. Under the
-            # ring transport the partitioner's output arrays are
-            # encoded straight into each shard's shared ring — no
-            # queue hop, no feeder thread, no pickle.
-            for shard, part in enumerate(self._partitioner.split(chunk)):
-                if len(part):
-                    if self._transport == "ring":
-                        self._submit_ring(
-                            shard,
-                            FRAME_BATCH,
-                            _frame_values(part),
-                            None,
-                            len(part),
-                        )
-                    else:
-                        self._submit(shard, ("batch", part), len(part))
-            return
         for shard, batch in enumerate(
             self._partitioner.split_counted(chunk)
         ):
             if batch:
-                weight = sum(count for _, count in batch)
-                self._submit(shard, batch, weight)
+                self._apply(shard, batch, sum(count for _, count in batch))
+
+    def _apply(self, shard: int, batch, weight: int) -> None:
+        """Apply one counted batch to an in-process shard tree."""
+        self._trees[shard].add_batch(batch)
+        self._shard_events[shard] += weight
+        self._shard_batches[shard] += 1
 
     def _submit_ring(
         self,
@@ -786,7 +751,7 @@ class Profiler:
         counts: Optional[np.ndarray],
         weight: int,
     ) -> None:
-        """Write one binary frame into the shard's ring (ring transport).
+        """Write one binary frame into the shard's ring.
 
         Runs on the dispatching thread under the ingest lock (which is
         what makes the producer side single-writer). A consumer that
@@ -795,7 +760,7 @@ class Profiler:
         """
         producer = self._rings[shard]
         try:
-            disposition = producer.write_frame(kind, values, counts)  # noqa: RAP-LINT016 - ring waits block on the worker *process*, which never takes this lock; liveness-checked so a dead peer raises instead of deadlocking
+            disposition = producer.write_frame(kind, values, counts)
         except RingStalled as stall:
             raise WorkerCrashed(
                 shard,
@@ -808,78 +773,6 @@ class Profiler:
             self._shard_events[shard] += weight
             self._shard_batches[shard] += 1
         self._raise_worker_errors()
-
-    def _submit(self, shard: int, batch, weight: int) -> None:
-        if self._executor == "serial":
-            self._trees[shard].add_batch(batch)
-            self._shard_events[shard] += weight
-            self._shard_batches[shard] += 1
-            return
-        disposition = self._queues[shard].put(  # noqa: RAP-LINT016 - consumers never take this lock
-            batch, weight
-        )
-        if disposition != "dropped":
-            self._shard_events[shard] += weight
-            self._shard_batches[shard] += 1
-        self._raise_worker_errors()
-
-    def _worker_loop(self, shard: int) -> None:
-        queue = self._queues[shard]
-        tree = self._trees[shard]
-        tree.confine_to_current_thread()
-        failed = False
-        while True:
-            # One take drains the main queue plus any spill backlog as a
-            # single FIFO-ordered, per-constituent-sorted batch, so the
-            # whole backlog rides one add_counted fast-path run instead
-            # of a take/ingest/ack round-trip per batch. Observably
-            # identical to add_batch per constituent (see take_combined).
-            batch = queue.take_combined()
-            if batch is None:
-                return
-            if not failed:
-                try:
-                    tree.add_counted(batch)
-                except BaseException as error:  # surfaced to producers
-                    self._errors.append(error)
-                    failed = True
-            queue.task_done()
-
-    def _feeder_loop(self, shard: int) -> None:
-        """Producer-side pump: shard queue → worker pipe (process mode).
-
-        Backpressure stays on the queue (identical policies and
-        counters across executors); the feeder just forwards accepted
-        frames in FIFO order. ``task_done`` fires only after the send,
-        so ``queue.join()`` implies every accepted frame is *in the
-        pipe ahead of any subsequent sync marker* — the ordering the
-        epoch-boundary protocol relies on. A dead worker breaks the
-        pipe; the feeder records the diagnosis and keeps draining so
-        joins and closes never hang on a crashed shard.
-        """
-        queue = self._queues[shard]
-        conn = self._conns[shard]
-        broken = False
-        while True:
-            frames = queue.take_all()
-            if frames is None:
-                return
-            if not broken:
-                try:
-                    # Frames are enqueued pipe-ready (("batch", values)
-                    # or ("cbatch", values, counts)) — forward as-is.
-                    for frame in frames:
-                        conn.send(frame)
-                except (BrokenPipeError, OSError):
-                    broken = True
-                    self._errors.append(
-                        WorkerCrashed(
-                            shard,
-                            self._processes[shard].exitcode,
-                            "receiving batches",
-                        )
-                    )
-            queue.task_done()
 
     def _check_ingestible(self) -> None:
         if self._state != "open":
@@ -900,11 +793,11 @@ class Profiler:
     # ------------------------------------------------------------------
 
     def _worker_crashed(self, shard: int, doing: str) -> WorkerCrashed:
-        """Build the dead-worker diagnostic, with ring counters when the
-        ring transport is live: the last-committed/last-consumed frame
-        sequences pinpoint how far the shard's stream got."""
+        """Build the dead-worker diagnostic, with ring counters while the
+        ring is live: the last-committed/last-consumed frame sequences
+        pinpoint how far the shard's stream got."""
         committed = consumed = None
-        if self._transport == "ring" and shard < len(self._rings):
+        if shard < len(self._rings):
             producer = self._rings[shard]
             committed = producer.committed_frames
             consumed = producer.consumed_frames
@@ -941,53 +834,37 @@ class Profiler:
     def _sync_workers(self) -> None:
         """Quiesce every worker and cache its synced state.
 
-        Callers hold the ingest lock with all queues joined (or closed
-        and feeders exited), so no frame is mid-flight and the sync
-        marker trails every accepted frame in transport order: a
-        ``synced`` reply proves the worker applied them all. Worker
-        ingest failures and sanitizer reports ride back on the reply.
-
-        Under the ring transport the sync travels *in-band* — a sync
-        frame written behind the shard's data frames — and is broadcast
-        to every ring before any reply is collected, so the workers'
-        wakeup and flush latencies overlap instead of serializing one
-        sync round-trip per shard. Each reply echoes the sync frame's
-        sequence number, proving it answers *this* epoch boundary.
+        Callers hold the ingest lock, so no frame is mid-flight. The
+        sync travels *in-band* — a sync frame written behind the
+        shard's data frames — so a ``synced`` reply proves the worker
+        applied every accepted frame. It is broadcast to every ring
+        before any reply is collected, so the workers' wakeup and flush
+        latencies overlap instead of serializing one round-trip per
+        shard. Each reply echoes the sync frame's sequence number,
+        proving it answers *this* epoch boundary. Worker ingest
+        failures and sanitizer reports ride back on the reply.
         """
-        if self._transport == "ring" and self._rings:
-            expected: List[int] = []
-            for shard, producer in enumerate(self._rings):
-                try:
-                    expected.append(producer.write_sync())  # noqa: RAP-LINT016 - ring waits block on the worker *process*, which never takes this lock; liveness-checked so a dead peer raises instead of deadlocking
-                except RingStalled as stall:
-                    raise WorkerCrashed(
-                        shard,
-                        self._processes[shard].exitcode,
-                        "accepting a sync frame",
-                        committed=stall.committed,
-                        consumed=stall.consumed,
-                    ) from None
-            for shard in range(self._shards):
-                payload = self._recv_reply(shard, "synced")
-                if payload.get("sync_seq") != expected[shard]:
-                    raise RuntimeError(
-                        f"shard {shard} worker protocol error: sync reply "
-                        f"for frame {payload.get('sync_seq')!r}, expected "
-                        f"{expected[shard]}"
-                    )
-                self._accept_sync_payload(shard, payload)
-            return
-        for shard, conn in enumerate(self._conns):
-            process = self._processes[shard]
+        expected: List[int] = []
+        for shard, producer in enumerate(self._rings):
             try:
-                conn.send(("sync",))
-            except (BrokenPipeError, OSError):
+                expected.append(producer.write_sync())
+            except RingStalled as stall:
                 raise WorkerCrashed(
-                    shard, process.exitcode, "accepting a sync marker"
+                    shard,
+                    self._processes[shard].exitcode,
+                    "accepting a sync frame",
+                    committed=stall.committed,
+                    consumed=stall.consumed,
                 ) from None
-            self._accept_sync_payload(
-                shard, self._recv_reply(shard, "synced")
-            )
+        for shard in range(self._shards):
+            payload = self._recv_reply(shard, "synced")
+            if payload.get("sync_seq") != expected[shard]:
+                raise RuntimeError(
+                    f"shard {shard} worker protocol error: sync reply "
+                    f"for frame {payload.get('sync_seq')!r}, expected "
+                    f"{expected[shard]}"
+                )
+            self._accept_sync_payload(shard, payload)
 
     def _accept_sync_payload(
         self, shard: int, payload: Dict[str, object]
@@ -1018,13 +895,12 @@ class Profiler:
         built. Useful to bound ingest latency measurements and to make
         backpressure deterministic before reading :attr:`metrics` (under
         the process executor this also refreshes the per-shard synced
-        state those metrics are served from).
+        state those metrics are served from). Serial ingest is already
+        applied when ``ingest()`` returns.
         """
         if self._state != "open":
             raise RuntimeError("cannot drain a Profiler that is not open")
         with self._ingest_lock:
-            for queue in self._queues:
-                queue.join()  # noqa: RAP-LINT016 - drain locks out producers; workers never take this lock
             if self._executor == "process":
                 self._sync_workers()
             self._raise_worker_errors()
@@ -1032,18 +908,16 @@ class Profiler:
     def snapshot(self) -> TreeBackend:
         """Fold every shard into one consistent tree (epoch boundary).
 
-        Locks out new ingests, drains every accepted batch, then folds
-        the shard trees with :func:`~repro.core.combine.combine_many`.
-        The result is independent of the live shards (single-shard
-        profiles are cloned; process-executor shards are folded from
-        attached or serialized copies) and cached: repeated snapshots
-        with no intervening ingest return the same tree without
-        re-folding. Its backend follows the shards': a columnar profiler
-        (the process executor included, whenever its shards are attached
-        from shared memory) returns a ``ColumnarRapTree``, folded
-        straight from the shard columns; an object profiler, or a fold
-        that includes a serialized shard, returns a ``RapTree``. The
-        fold path never changes the result: both dump identically.
+        Locks out new ingests, quiesces every shard, then folds the
+        shard trees with :func:`~repro.core.combine.combine_many`. The
+        result is independent of the live shards (single-shard profiles
+        are cloned; process-executor shards are folded from attached
+        copies of their shared-memory columns) and cached: repeated
+        snapshots with no intervening ingest return the same tree
+        without re-folding. Its backend follows the shards': a columnar
+        profiler (the process executor always) returns a
+        ``ColumnarRapTree``, folded straight from the shard columns; an
+        object profiler returns a ``RapTree``.
         """
         if self._state == "closed":
             if self._snapshot_cache is None:
@@ -1055,8 +929,6 @@ class Profiler:
         if self._state != "open":
             raise RuntimeError("cannot snapshot a Profiler that is not open")
         with self._ingest_lock:
-            for queue in self._queues:
-                queue.join()  # noqa: RAP-LINT016 - epoch boundary locks out producers; workers never take this lock
             if self._executor == "process":
                 self._sync_workers()
             self._raise_worker_errors()
@@ -1099,49 +971,32 @@ class Profiler:
                 self._sanitizer.end_fold()
 
     def _fold_process_locked(self) -> TreeBackend:
-        """Fold synced worker shards: zero-copy attach, dump fallback.
+        """Fold synced worker shards through zero-copy attachments.
 
         Every worker is quiesced (``_sync_workers`` ran under this
-        lock). Shards whose columns live in shared memory are attached
-        read-only and wrapped via ``ColumnarRapTree.attach_columns`` —
-        the fold walks them without copying a column; shards without
-        shared memory are fetched as serialized-v2 text. The result is
-        always independent of worker state: a single shard is cloned,
-        multiple shards fold through ``combine_many``, which builds a
-        fresh columnar tree straight from the attached columns (a
-        serialized shard is an object tree, so a fold that includes one
-        walks node views instead).
+        lock). Each shard's columns are attached read-only from shared
+        memory and wrapped via ``ColumnarRapTree.attach_columns`` — the
+        fold walks them without copying a column. The result is always
+        independent of worker state: a single shard is cloned, multiple
+        shards fold through ``combine_many``, which builds a fresh
+        columnar tree straight from the attached columns.
         """
         from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the fold attaches worker column segments; the attach protocol is columnar-only by design
-        from ..core.serialize import load_tree
 
         trees: List[TreeBackend] = []
         attachments: List[ShmAttachment] = []
         try:
-            for shard, payload in enumerate(self._shard_states):
+            for payload in self._shard_states:
                 assert payload is not None, "fold before first sync"
-                if payload["shm"]:
-                    attachment = ShmAttachment(payload["table"])  # type: ignore[arg-type]
-                    attachments.append(attachment)
-                    trees.append(
-                        ColumnarRapTree.attach_columns(
-                            self._shard_config,
-                            attachment.arrays,
-                            payload["state"],  # type: ignore[arg-type]
-                        )
+                attachment = ShmAttachment(payload["table"])  # type: ignore[arg-type]
+                attachments.append(attachment)
+                trees.append(
+                    ColumnarRapTree.attach_columns(
+                        self._shard_config,
+                        attachment.arrays,
+                        payload["state"],  # type: ignore[arg-type]
                     )
-                else:
-                    try:
-                        self._conns[shard].send(("dump",))
-                    except (BrokenPipeError, OSError):
-                        raise WorkerCrashed(
-                            shard,
-                            self._processes[shard].exitcode,
-                            "accepting a dump request",
-                        ) from None
-                    trees.append(
-                        load_tree(self._recv_reply(shard, "dumped"))
-                    )
+                )
             if len(trees) == 1:
                 return trees[0].clone()
             return combine_many(trees)
@@ -1180,8 +1035,8 @@ class Profiler:
 
         Producer-side counters (events, batches, backpressure) are
         always live. Tree-side fields (splits, merges, node counts)
-        read the live trees under the serial/thread executors; under
-        the process executor they come from each shard's latest synced
+        read the live trees under the serial executor; under the
+        process executor they come from each shard's latest synced
         state — call :meth:`drain` (or take a snapshot) first for
         exact, deterministic values.
         """
@@ -1204,16 +1059,9 @@ class Profiler:
                 entry.splits = stats.splits
                 entry.merge_batches = stats.merge_batches
                 entry.node_count = tree.node_count
-            if self._queues:
-                queue = self._queues[index]
-                entry.dropped_batches = queue.dropped_batches
-                entry.dropped_events = queue.dropped_events
-                entry.spilled_batches = queue.spilled_batches
-                entry.max_queue_depth = queue.max_depth
-            # Ring transport: backpressure lives on the ring producer,
-            # not the (idle) queue — its counters override the queue
-            # zeros above. Live producers win; after teardown the
-            # snapshot taken by ``_teardown_rings`` keeps answering.
+            # Backpressure lives on the ring producers. Live producers
+            # win; after teardown the snapshot taken by
+            # ``_teardown_rings`` keeps answering.
             if index < len(self._rings):
                 producer = self._rings[index]
                 entry.dropped_batches = producer.dropped_batches
@@ -1242,8 +1090,8 @@ class Profiler:
     def shard_trees(self) -> Sequence[RapTree]:
         """The live shard trees (read-only view; do not mutate).
 
-        Serial and thread executors only: process-executor shard trees
-        live in worker address spaces — take a :meth:`snapshot` (or use
+        Serial executor only: process-executor shard trees live in
+        worker address spaces — take a :meth:`snapshot` (or use
         :attr:`metrics`) instead of reaching for the live objects.
         """
         if self._executor == "process":

@@ -10,7 +10,7 @@ arrays into the ring with two slice assignments; the worker decodes
 them as *read-only ndarray views* over the same memory and feeds its
 combining buffer without touching a byte. The duplex pipe the process
 executor already owns stays, but carries only low-rate control
-(dump/exit/crash/wake) — the data path never pickles.
+(ready/wake/synced/exit) — the data path never pickles.
 
 Memory layout (all offsets relative to the shared region)::
 
@@ -41,8 +41,8 @@ the producer stamps a one-word ``PAD`` record (length
 ``0xFFFF_FFFF_FFFF_FFFF``) that tells the consumer to skip to the ring
 start, keeping every frame contiguous so decoded views stay zero-copy.
 
-Backpressure reuses the :class:`~repro.runtime.queues.ShardQueue`
-policy vocabulary, with the same dispositions and counters:
+Backpressure is the profiler's ``backpressure=`` policy, with
+dispositions and counters surfaced in the shard metrics:
 
 * ``block`` — wait for the consumer to release space, periodically
   invoking the ``liveness`` callback so a dead consumer raises
@@ -50,14 +50,13 @@ policy vocabulary, with the same dispositions and counters:
 * ``drop`` — a frame that does not fit is discarded and counted
   (``dropped_batches``/``dropped_events``).
 * ``spill`` — overflow goes to an unbounded producer-side FIFO and is
-  re-offered ahead of new frames, preserving stream order exactly like
-  the queue's spill deque; a sync flushes the backlog first (blocking),
-  so the no-loss guarantee carries over.
+  re-offered ahead of new frames, preserving stream order; a sync
+  flushes the backlog first (blocking), so nothing is lost.
 
 Determinism: the byte stream a consumer sees is a pure function of the
 producer's frame sequence (ring order = write order), so the worker's
 combining-buffer flush points — and therefore the shard tree — are
-bit-identical to the pipe transport's for the same ingested stream.
+bit-identical across runs of the same ingested stream.
 
 Timing discipline: this module never reads the wall clock. Stall
 *counts* are always recorded; stall *seconds* only accumulate when the
@@ -436,8 +435,7 @@ class RingProducer(_RingEnd):
         """Submit one data frame under this ring's backpressure policy.
 
         Returns the disposition — ``"queued"``, ``"dropped"`` or
-        ``"spilled"`` — with exactly the :class:`ShardQueue` semantics:
-        ``block`` waits for space (raising :class:`RingStalled` if the
+        ``"spilled"``: ``block`` waits for space (raising :class:`RingStalled` if the
         consumer dies meanwhile), ``drop`` discards-and-counts a frame
         that does not fit, ``spill`` sends overflow to an unbounded
         FIFO that is re-offered ahead of new frames.

@@ -4,62 +4,51 @@
 shard. The worker owns a :class:`~repro.core.columnar.ColumnarRapTree`
 whose columns live in a :class:`~repro.runtime.shm.ShmArena` (so the
 parent can attach them zero-copy at fold time), confines it to itself,
-and consumes the partitioned event stream over one of two transports:
+and consumes the partitioned event stream through a shared-memory SPSC
+ring (:class:`~repro.runtime.ring.RingConsumer`). Data frames arrive as
+binary counted frames (:mod:`repro.core.serialize`), decoded as
+read-only ndarray *views* over ring memory — zero copies until the
+combining flush.
 
-* **ring** (the default): data frames arrive as binary counted frames
-  (:mod:`repro.core.serialize`) through a shared-memory SPSC ring
-  (:class:`~repro.runtime.ring.RingConsumer`), decoded as read-only
-  ndarray *views* over ring memory — zero copies until the combining
-  flush. The pipe stays attached but carries only low-rate control
-  (``wake``/``dump``/``exit``); sync markers travel *in-band* through
-  the ring so they order behind every data frame by construction.
-* **pipe** (fallback): every frame is a pickled tuple on the duplex
-  pipe — the protocol below, unchanged.
+Frames are *buffered*, not ingested one by one: the worker accumulates
+them in a combining buffer and duplicate-combines the whole buffered
+substream in a single ``np.unique`` pass right before feeding one
+sorted counted frame to ``add_counted_arrays`` — the paper's
+event-combining buffer (Section 3.3, stage 0) stretched across frames,
+which is where the process executor's ingest advantage comes from. The
+buffer flushes when it holds ``_COMBINE_WINDOW`` events and at every
+sync, so its memory is bounded and its flush points are a pure function
+of the frame sequence (ring order = producer dispatch order): repeat
+runs build bit-identical trees. Pre-counted frames (the
+``ingest_counted`` path) enter the same buffer with their counts as
+weights. An ingest failure is remembered and surfaced on the next sync.
 
-Pipe command protocol:
+Sync markers travel *in-band* through the ring, so they order behind
+every data frame by construction. A sync flushes the buffer and replies
+``("synced", payload)`` on the control pipe; the payload carries the
+shared-memory segment table, the tree's scalar state
+(:meth:`~repro.core.columnar.ColumnarRapTree.column_state`), ingest
+statistics, the recorded failure (if any), the worker sanitizer's
+report and the sync frame's sequence number.
 
-``("batch", values)``
-    Raw partitioned value frame, as produced by ``Partitioner.split``
-    (one occurrence per element, producer chunk order). Frames are
-    *buffered*, not ingested one by one: the worker accumulates them
-    in a combining buffer and duplicate-combines the whole buffered
-    substream in a single ``np.unique`` pass right before feeding one
-    sorted counted frame to ``add_counted_arrays`` — the paper's
-    event-combining buffer (Section 3.3, stage 0) stretched across
-    frames, which is where the process executor's ingest advantage
-    over the per-chunk-combining threaded path comes from. The buffer
-    flushes when it holds ``_COMBINE_WINDOW`` events and at every
-    sync, so its memory is bounded and its flush points are a pure
-    function of the frame sequence (pipe FIFO = producer dispatch
-    order): repeat runs build bit-identical trees. No reply; an
-    ingest failure is remembered and surfaced on the next sync.
-``("cbatch", values, counts)``
-    Pre-counted frame (the ``ingest_counted`` path): sorted unique
-    values with positive counts. Enters the same combining buffer
-    with its counts as weights.
-``("sync",)``
-    Quiesce point: flushes the combining buffer, then replies
-    ``("synced", payload)`` where the payload carries the
-    shared-memory segment table, the tree's scalar state
-    (:meth:`~repro.core.columnar.ColumnarRapTree.column_state`),
-    ingest statistics, the recorded failure (if any) and the worker
-    sanitizer's report. Because frames are processed in pipe order,
-    a sync reply proves every earlier batch frame is applied.
-``("dump",)``
-    Replies ``("dumped", text)`` with the serialized-v2 tree — the
-    fold fallback when shared memory is unavailable on this host.
-``("exit",)``
+The duplex control pipe carries only low-rate messages:
+
+``("ready", problem)`` (worker → parent)
+    Sent once the tree is built and the ingest path warmed. ``problem``
+    is ``None``, or a message saying the shared-memory column arena
+    could not be created — the parent then reaps every worker and runs
+    its serial executor instead.
+``("wake",)`` (parent → worker)
+    Nudge: the producer wrote into an empty ring.
+``("exit",)`` (parent → worker)
     Tear down: drop the tree, unlink every shared-memory segment,
     reply ``("bye",)`` and return. The reply comes *after* the unlink,
     so a parent that has seen it knows ``/dev/shm`` is clean.
 
-The worker never touches the parent's queues or locks; backpressure
-lives entirely on the parent side (under the ring transport the
-producer blocks/drops/spills against the ring itself; under the pipe
-transport a feeder thread drains a
-:class:`~repro.runtime.queues.ShardQueue` into this pipe). If the pipe
-dies (parent crash), the worker cleans up its segments and exits — the
-arena is unlinked on every path out of :func:`worker_main`.
+The worker never touches the parent's locks; backpressure lives
+entirely on the producer side of the ring. If the pipe dies (parent
+crash), the worker cleans up its segments and exits — the arena is
+unlinked on every path out of :func:`worker_main`.
 """
 
 from __future__ import annotations
@@ -72,7 +61,7 @@ import numpy as np
 
 from ..core.config import RapConfig
 from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the worker owns its shard kernel: the shm allocator hook and column_state/attach protocol are columnar-only by design
-from ..core.serialize import FRAME_CBATCH, FRAME_SYNC, dump_tree
+from ..core.serialize import FRAME_CBATCH, FRAME_SYNC
 from .ring import RingConsumer
 from .shm import ShmArena, ShmAttachment
 
@@ -154,34 +143,32 @@ def worker_main(
     conn: Any,
     config: RapConfig,
     shard_index: int,
-    shm_prefix: Optional[str],
-    ring_table: Optional[Dict[str, Tuple[str, str, int, int]]] = None,
+    shm_prefix: str,
+    ring_table: Dict[str, Tuple[str, str, int, int]],
 ) -> None:
     """Run one shard worker until ``exit`` or pipe loss.
 
     ``conn`` is the worker end of a duplex pipe; ``config`` is the
     (epsilon-adjusted) shard tree configuration; ``shm_prefix`` names
-    this worker's shared-memory namespace, or ``None`` to force
-    heap-backed columns (folds then use the serialize fallback).
-    ``ring_table`` is the parent-allocated ring region's segment table
-    under the ring transport, or ``None`` for the pipe transport.
+    this worker's shared-memory namespace; ``ring_table`` is the
+    parent-allocated ring region's segment table.
     """
     label = f"shard[{shard_index}]"
     arena: Optional[ShmArena] = None
-    tree: Optional[ColumnarRapTree] = None
-    if shm_prefix is not None:
-        try:
-            arena = ShmArena(f"{shm_prefix}s{shard_index}-")
-            tree = ColumnarRapTree(config, allocator=arena.allocate)
-        except OSError:
-            # No usable POSIX shared memory on this host: fall through
-            # to heap columns; the parent folds via serialized dumps.
-            if arena is not None:
-                arena.close()
-            arena = None
-            tree = None
-    if tree is None:
-        tree = ColumnarRapTree(config)
+    try:
+        arena = ShmArena(f"{shm_prefix}s{shard_index}-")
+        tree = ColumnarRapTree(config, allocator=arena.allocate)
+    except OSError as error:
+        # No usable POSIX shared memory for the columns: say so on the
+        # ready handshake and leave; the parent runs serial instead.
+        if arena is not None:
+            arena.close()
+        _send_quietly(
+            conn, ("ready", f"shard {shard_index} column arena: {error}")
+        )
+        _send_quietly(conn, ("bye",))
+        conn.close()
+        return
 
     sanitizer = None
     if config.debug_sanitize:
@@ -200,10 +187,7 @@ def worker_main(
     # ingest's latency. The parent waits for the ``ready`` below, so
     # all of this happens before it dispatches a single frame.
     _warm_ingest_path(config)
-    try:
-        conn.send(("ready", None))
-    except (BrokenPipeError, OSError):
-        pass  # parent gone already; the loops below exit the same way
+    _send_quietly(conn, ("ready", None))
 
     failed: Optional[str] = None
     pending_raw: List[np.ndarray] = []
@@ -249,43 +233,6 @@ def worker_main(
             for values, counts in pending_counted
         ]
 
-    def sync_payload(sync_seq: Optional[int]) -> Dict[str, object]:
-        if arena is not None:
-            arena.reap_retired()
-        payload = _sync_payload(label, tree, arena, failed, sanitizer)
-        payload["sync_seq"] = sync_seq
-        return payload
-
-    def pipe_loop() -> None:
-        nonlocal failed, buffered
-        while True:
-            try:
-                frame = conn.recv()
-            except (EOFError, OSError):
-                # Parent went away; clean up and die quietly.
-                return
-            kind = frame[0]
-            if kind == "batch":
-                pending_raw.append(frame[1])
-                buffered += len(frame[1])
-                if buffered >= _COMBINE_WINDOW:
-                    flush()
-            elif kind == "cbatch":
-                pending_counted.append((frame[1], frame[2]))
-                buffered += int(np.sum(frame[2]))
-                if buffered >= _COMBINE_WINDOW:
-                    flush()
-            elif kind == "sync":
-                flush()
-                conn.send(("synced", sync_payload(None)))
-            elif kind == "dump":
-                flush()
-                conn.send(("dumped", dump_tree(tree)))
-            elif kind == "exit":
-                return
-            else:  # pragma: no cover - protocol bug, not a data path
-                failed = f"unknown worker frame {kind!r}"
-
     def ring_loop(consumer: RingConsumer) -> None:
         # Data and sync frames arrive in-band through the ring; the
         # pipe is polled only when the ring runs empty, and then with a
@@ -302,25 +249,26 @@ def worker_main(
                 if frame.kind == FRAME_SYNC:
                     flush()
                     consumer.release()
-                    conn.send(("synced", sync_payload(frame.sequence)))
-                elif frame.kind == FRAME_CBATCH:
+                    conn.send((
+                        "synced",
+                        _sync_payload(
+                            label, tree, arena, failed, sanitizer,
+                            frame.sequence,
+                        ),
+                    ))
+                    continue
+                if frame.kind == FRAME_CBATCH:
                     pending_counted.append((frame.values, frame.counts))
                     buffered += int(np.sum(frame.counts))
-                    if buffered >= _COMBINE_WINDOW:
-                        flush()
-                        consumer.release()
-                    elif consumer.bytes_held > congested:
-                        materialize()
-                        consumer.release()
                 else:
                     pending_raw.append(frame.values)
                     buffered += len(frame.values)
-                    if buffered >= _COMBINE_WINDOW:
-                        flush()
-                        consumer.release()
-                    elif consumer.bytes_held > congested:
-                        materialize()
-                        consumer.release()
+                if buffered >= _COMBINE_WINDOW:
+                    flush()
+                    consumer.release()
+                elif consumer.bytes_held > congested:
+                    materialize()
+                    consumer.release()
                 continue
             try:
                 if not conn.poll(_RING_IDLE_POLL):
@@ -339,24 +287,15 @@ def worker_main(
             except (EOFError, OSError):
                 return
             kind = message[0]
-            if kind == "wake":
-                continue  # nudge: data is (or was) in the ring
-            if kind == "dump":
-                flush()
-                consumer.release()
-                conn.send(("dumped", dump_tree(tree)))
-            elif kind == "exit":
+            if kind == "exit":
                 return
-            else:  # pragma: no cover - protocol bug, not a data path
+            if kind != "wake":  # pragma: no cover - protocol bug, not a data path
                 failed = f"unknown worker control {kind!r}"
 
     ring_attachment: Optional[ShmAttachment] = None
     try:
-        if ring_table is not None:
-            ring_attachment = ShmAttachment(ring_table)
-            ring_loop(RingConsumer(ring_attachment.arrays["ring"]))
-        else:
-            pipe_loop()
+        ring_attachment = ShmAttachment(ring_table)
+        ring_loop(RingConsumer(ring_attachment.arrays["ring"]))
     finally:
         tree.unconfine()
         # Drop every ndarray/memoryview export over the arena's buffers
@@ -367,29 +306,35 @@ def worker_main(
         pending_raw.clear()
         pending_counted.clear()
         gc.collect()
-        if arena is not None:
-            arena.close()
+        arena.close()
         if ring_attachment is not None:
             ring_attachment.close()
-        try:
-            conn.send(("bye",))
-        except (BrokenPipeError, OSError):
-            pass
+        _send_quietly(conn, ("bye",))
         conn.close()
+
+
+def _send_quietly(conn: Any, message: Tuple[object, ...]) -> None:
+    """Send on the control pipe; a parent that is gone is not an error."""
+    try:
+        conn.send(message)
+    except (BrokenPipeError, OSError):
+        pass
 
 
 def _sync_payload(
     label: str,
     tree: ColumnarRapTree,
-    arena: Optional[ShmArena],
+    arena: ShmArena,
     failed: Optional[str],
     sanitizer: Any,
+    sync_seq: int,
 ) -> Dict[str, object]:
+    # A quiescent point: slabs retired by column growth can close now.
+    arena.reap_retired()
     stats = tree.stats
     return {
         "label": label,
-        "shm": arena is not None,
-        "table": arena.segment_table() if arena is not None else None,
+        "table": arena.segment_table(),
         "state": tree.column_state(),
         "events": tree.events,
         "node_count": tree.node_count,
@@ -397,4 +342,5 @@ def _sync_payload(
         "merge_batches": stats.merge_batches,
         "error": failed,
         "sanitizer": sanitizer.report() if sanitizer is not None else None,
+        "sync_seq": sync_seq,
     }

@@ -495,7 +495,7 @@ class TestHotPathPickle:
     def test_other_runtime_modules_are_out_of_scope(self, tmp_path):
         report = lint_snippet(
             tmp_path,
-            "runtime/queues.py",
+            "runtime/partition.py",
             "import pickle\nx = pickle.dumps([1])\n",
             select=["RAP-LINT025"],
         )

@@ -45,14 +45,12 @@ RUNTIME_SURFACE = [
     "MIN_RING_BYTES",
     "Partitioner",
     "Profiler",
-    "QueueClosed",
     "RangePartitioner",
     "RingConsumer",
     "RingProducer",
     "RingStalled",
     "RuntimeMetrics",
     "ShardMetrics",
-    "ShardQueue",
     "ShmArena",
     "ShmAttachment",
     "WorkerCrashed",
@@ -103,7 +101,8 @@ class TestKeywordOnlyContracts:
 
 
 class TestExecutorSelection:
-    """The executor= surface: config-level defaults, overrides, shims."""
+    """The executor= surface: config-level defaults, overrides, and the
+    loud failures that replaced the removed knobs."""
 
     def test_config_declares_executor_and_shards(self):
         config = RapConfig(256, executor="serial", shards=3)
@@ -115,9 +114,15 @@ class TestExecutorSelection:
         assert profiler.executor == "serial" and profiler.shards == 2
 
     def test_constructor_keywords_override_config(self):
-        config = RapConfig(256, executor="serial", shards=2)
-        profiler = Profiler(config, shards=4, executor="thread")
-        assert profiler.executor == "thread" and profiler.shards == 4
+        config = RapConfig(
+            256, backend="columnar", executor="process", shards=2
+        )
+        profiler = Profiler(config, shards=4, executor="serial")
+        assert profiler.executor == "serial" and profiler.shards == 4
+
+    def test_serial_is_the_default_executor(self):
+        assert RapConfig(256).executor == "serial"
+        assert Profiler(RapConfig(256)).executor == "serial"
 
     def test_process_executor_is_blessed(self):
         config = RapConfig(
@@ -144,17 +149,28 @@ class TestExecutorSelection:
         with pytest.raises(ValueError, match="executor"):
             Profiler(RapConfig(256), executor="fork")
 
-    def test_threads_keyword_is_a_deprecation_shim(self):
-        with pytest.warns(DeprecationWarning, match="threads"):
-            profiler = Profiler(RapConfig(256), threads=3)
-        assert profiler.shards == 3 and profiler.executor == "thread"
+    @pytest.mark.parametrize(
+        "keyword, value, fix",
+        [
+            ("threads", 3, "shards=N"),
+            ("transport", "pipe", "shared-memory rings"),
+            ("queue_capacity", 8, "ring_bytes="),
+        ],
+    )
+    def test_removed_profiler_keywords_raise_with_the_fix(
+        self, keyword, value, fix
+    ):
+        with pytest.raises(TypeError, match=keyword) as excinfo:
+            Profiler(RapConfig(256), **{keyword: value})
+        assert fix in str(excinfo.value)
 
-    def test_explicit_keywords_win_over_the_shim(self):
-        with pytest.warns(DeprecationWarning):
-            profiler = Profiler(
-                RapConfig(256), threads=3, shards=2, executor="serial"
-            )
-        assert profiler.shards == 2 and profiler.executor == "serial"
+    def test_removed_executor_and_transport_fail_loudly(self):
+        with pytest.raises(ValueError, match="executor='serial'"):
+            RapConfig(256, executor="thread")
+        with pytest.raises(ValueError, match="executor='serial'"):
+            Profiler(RapConfig(256), executor="thread")
+        with pytest.raises(TypeError, match="transport"):
+            RapConfig(256, transport="ring")
 
 
 class TestBlessedConstructors:

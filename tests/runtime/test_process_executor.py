@@ -11,7 +11,9 @@ contract:
   :class:`WorkerCrashed` from ``drain()``/``snapshot()``/``close()``
   instead of hanging a queue join forever;
 * the sanitizer, metrics and snapshot-epoch machinery behave
-  identically to the threaded executor.
+  identically to the serial executor;
+* a host without usable shared memory falls back to the serial
+  executor, inside the same accuracy bound and without leaks.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ class TestCrashedWorker:
         from repro.runtime import MIN_RING_BYTES
 
         profiler = Profiler.from_config(
-            process_config(transport="ring"),
+            process_config(),
             ring_bytes=MIN_RING_BYTES,
             batch_size=256,
         ).open()
@@ -206,9 +208,7 @@ class TestCrashedWorker:
     def test_ring_sync_death_carries_frame_counters(self):
         """Death detected at the sync reply (ring not full) still
         reports how far the frame stream got before the crash."""
-        profiler = Profiler.from_config(
-            process_config(transport="ring")
-        ).open()
+        profiler = Profiler.from_config(process_config()).open()
         try:
             profiler.ingest(np.arange(4_000) % 999)
             profiler.drain()
@@ -242,3 +242,56 @@ class TestCrashedWorker:
         with pytest.raises(RuntimeError, match="worker failure"):
             profiler.snapshot()
         assert_no_leaks()
+
+
+class TestSharedMemoryFallback:
+    """No usable shared memory: reap, sweep, and run serial instead."""
+
+    @staticmethod
+    def _failing_arena(prefix):
+        raise OSError(38, "shared memory unavailable", prefix)
+
+    def _assert_serial_within_bound(self, profiler_factory):
+        rng = random.Random(43)
+        values = np.asarray(
+            zipf_stream(rng, UNIVERSE, 20_000), dtype=np.uint64
+        )
+        with pytest.warns(RuntimeWarning, match="shared memory"):
+            profiler = profiler_factory().open()
+        try:
+            assert profiler.executor == "serial"
+            assert_no_leaks()  # workers reaped, namespace swept at open()
+            profiler.ingest(values)
+        finally:
+            snapshot = profiler.close()
+        assert snapshot.events == len(values)
+        exact = np.sort(values.astype(np.int64))
+        for lo, hi in [(0, UNIVERSE - 1), (0, 99), (100, 4_000), (7, 7)]:
+            truth = int(
+                np.searchsorted(exact, hi, side="right")
+                - np.searchsorted(exact, lo, side="left")
+            )
+            estimate = snapshot.estimate(lo, hi)
+            assert estimate <= truth
+            assert truth - estimate <= EPS * len(values)
+        assert_no_leaks()
+
+    def test_parent_ring_allocation_failure_runs_serial(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.runtime.profiler.ShmArena", self._failing_arena
+        )
+        self._assert_serial_within_bound(
+            lambda: Profiler.from_config(process_config(shards=4))
+        )
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched worker module reaches the child only by fork",
+    )
+    def test_worker_column_arena_failure_runs_serial(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.runtime.worker.ShmArena", self._failing_arena
+        )
+        self._assert_serial_within_bound(
+            lambda: Profiler.from_config(process_config(shards=2))
+        )

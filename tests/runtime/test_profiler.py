@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import RapConfig, RapTree
-from repro.runtime import Profiler
+from repro.runtime import MIN_RING_BYTES, Profiler
 
 UNIVERSE = 2**16
 
@@ -89,6 +89,8 @@ class TestSingleShardPassthrough:
 
 
 class TestThreadedIngestion:
+    """Multi-shard ingestion: accounting, epochs, drain and errors."""
+
     def test_all_events_accounted_for(self):
         values = zipf_values(5, 50_000)
         with Profiler(config(), shards=4) as profiler:
@@ -124,24 +126,26 @@ class TestThreadedIngestion:
             profiler.ingest([100] * 500)
             assert profiler.query(0, UNIVERSE - 1) == 500
 
-    def test_shard_trees_are_thread_confined_while_open(self):
-        with Profiler(config(), shards=2) as profiler:
-            profiler.ingest(zipf_values(7, 5000))
-            profiler.snapshot()
-            shard = profiler.shard_trees()[0]
-            with pytest.raises(RuntimeError, match="confined"):
-                shard.add(1)
-        # close() lifts confinement (workers are gone).
-        profiler.shard_trees()[0].unconfine()
-
     def test_worker_error_propagates_to_producer(self):
-        with Profiler(config(), shards=2, batch_size=16) as profiler:
+        # A worker process reports its ingest failure on the next sync;
+        # the producer side raises it from drain() and again from
+        # close(), which still reaps every worker.
+        profiler = Profiler(
+            config(backend="columnar"), shards=2, executor="process"
+        ).open()
+        try:
+            profiler.ingest_counted([(UNIVERSE + 5, 1)] * 8)
             with pytest.raises(RuntimeError, match="shard worker failed"):
-                # Out-of-universe values make the shard's add_batch raise;
-                # keep feeding until the failure surfaces.
-                for _ in range(100):
-                    profiler.ingest_counted([(UNIVERSE + 5, 1)] * 8)
-            profiler._errors.clear()  # allow clean close
+                profiler.drain()
+        finally:
+            with pytest.raises(RuntimeError, match="shard worker failed"):
+                profiler.close()
+        assert profiler.closed
+
+    def test_serial_error_raises_at_the_ingest_call(self):
+        with Profiler(config(), shards=2) as profiler:
+            with pytest.raises(ValueError):
+                profiler.ingest_counted([(UNIVERSE + 5, 1)] * 8)
 
     def test_ingest_counted_routes_by_value(self):
         with Profiler(config(), shards=4, executor="serial") as profiler:
@@ -150,59 +154,72 @@ class TestThreadedIngestion:
 
 
 class TestBackpressurePolicies:
+    """Ring backpressure under the process executor.
+
+    The minimum ring with 128-event batches overflows constantly, so
+    every policy is exercised; serial ingest is synchronous and never
+    overflows.
+    """
+
+    @staticmethod
+    def ring_profiler(backpressure: str) -> Profiler:
+        return Profiler(
+            config(backend="columnar"),
+            shards=2,
+            executor="process",
+            backpressure=backpressure,
+            ring_bytes=MIN_RING_BYTES,
+            batch_size=128,
+        )
+
     def test_block_loses_nothing(self):
         values = zipf_values(11, 30_000)
-        with Profiler(
-            config(), shards=2, backpressure="block",
-            queue_capacity=1, batch_size=128,
-        ) as profiler:
+        with self.ring_profiler("block") as profiler:
             profiler.ingest(values)
             assert profiler.snapshot().events == len(values)
             assert profiler.metrics.dropped_events == 0
 
     def test_spill_loses_nothing_and_counts_spills(self):
         values = zipf_values(13, 30_000)
-        with Profiler(
-            config(), shards=2, backpressure="spill",
-            queue_capacity=1, batch_size=128,
-        ) as profiler:
+        with self.ring_profiler("spill") as profiler:
             profiler.ingest(values)
-            metrics = profiler.metrics
             assert profiler.snapshot().events == len(values)
+            metrics = profiler.metrics
             assert metrics.dropped_events == 0
+            assert metrics.spilled_batches > 0
 
     def test_spill_drain_matches_serial_profile(self):
-        """Combined spill drains must leave the shard trees exactly where
-        per-batch processing would — the worker's take_combined path is
-        observably identical to one add_batch per accepted batch."""
+        """Spilled frames re-enter the ring in order, so the shard
+        trees end exactly where ``block`` leaves them."""
         values = zipf_values(23, 20_000)
-        with Profiler(
-            config(), shards=2, backpressure="spill",
-            queue_capacity=1, batch_size=64,
-        ) as threaded:
-            threaded.ingest(values)
-            spilled = threaded.metrics.spilled_batches
-            threaded_snapshot = threaded.snapshot()
-        with Profiler(
-            config(), shards=2, executor="serial", batch_size=64,
-        ) as serial:
-            serial.ingest(values)
-            serial_snapshot = serial.snapshot()
+        with self.ring_profiler("spill") as spilling:
+            spilling.ingest(values)
+            spilled_snapshot = spilling.snapshot()
+            spilled = spilling.metrics.spilled_batches
+        with self.ring_profiler("block") as blocking:
+            blocking.ingest(values)
+            block_snapshot = blocking.snapshot()
         assert spilled > 0  # the workload must actually exercise spill
         from repro.core import dump_tree
-        assert dump_tree(threaded_snapshot) == dump_tree(serial_snapshot)
+        assert dump_tree(spilled_snapshot) == dump_tree(block_snapshot)
 
     def test_drop_accounts_for_every_lost_event(self):
         values = zipf_values(17, 30_000)
-        with Profiler(
-            config(), shards=2, backpressure="drop",
-            queue_capacity=1, batch_size=128,
-        ) as profiler:
+        with self.ring_profiler("drop") as profiler:
             profiler.ingest(values)
             snapshot = profiler.snapshot()
             metrics = profiler.metrics
         assert snapshot.events + metrics.dropped_events == len(values)
         assert snapshot.events == metrics.events
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_unknown_policy_rejected_for_every_executor(self, executor):
+        with pytest.raises(ValueError, match="backpressure"):
+            Profiler(
+                config(backend="columnar"),
+                executor=executor,
+                backpressure="explode",
+            )
 
 
 class TestMetrics:
@@ -274,7 +291,6 @@ class TestMetrics:
             "dropped_batches",
             "dropped_events",
             "spilled_batches",
-            "max_queue_depth",
             "transport_stalls",
             "transport_stall_s",
             "ring_peak_bytes",
@@ -284,19 +300,18 @@ class TestMetrics:
         }
 
     def test_transport_fields_read_zero_off_ring(self):
-        # Ring-space stalls are a process/ring phenomenon; the serial
-        # and thread executors never touch a ring, so every transport
+        # Ring-space stalls are a process-executor phenomenon; the
+        # serial executor never touches a ring, so every transport
         # field stays exactly zero and metric dumps stay reproducible.
-        for executor in ("serial", "thread"):
-            with Profiler(config(), shards=2, executor=executor) as profiler:
-                profiler.ingest(zipf_values(31, 4000))
-                metrics = profiler.metrics
-            assert metrics.transport_stalls == 0
-            assert metrics.transport_stall_s == 0.0
-            for shard in metrics.shards:
-                assert shard.transport_stalls == 0
-                assert shard.transport_stall_s == 0.0
-                assert shard.ring_peak_bytes == 0
+        with Profiler(config(), shards=2, executor="serial") as profiler:
+            profiler.ingest(zipf_values(31, 4000))
+            metrics = profiler.metrics
+        assert metrics.transport_stalls == 0
+        assert metrics.transport_stall_s == 0.0
+        for shard in metrics.shards:
+            assert shard.transport_stalls == 0
+            assert shard.transport_stall_s == 0.0
+            assert shard.ring_peak_bytes == 0
 
 
 class TestHotRanges:
@@ -326,7 +341,7 @@ class TestHotRanges:
         return rows
 
     @pytest.mark.parametrize("shards", [1, 2])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_report_matches_the_node_walk(self, executor, shards):
         values = np.concatenate([
             np.full(3000, 42, dtype=np.uint64),

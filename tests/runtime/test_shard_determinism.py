@@ -6,10 +6,11 @@ accuracy contract: for any range, the folded estimate is a lower bound
 on the exact count and undercounts by at most
 ``sum_i(epsilon * n_i) = epsilon * n``. These tests pin that bound on
 seeded zipf and phased streams for 1, 2, and 8 shards, check that the
-``block``/``spill`` policies make threaded ingestion a deterministic
-function of the stream, and run the ISSUE acceptance scenario: a
-4-shard profiler over a 200k-event zipf stream whose hot-range report
-agrees with a single-tree oracle within the documented bound.
+``block``/``spill`` ring policies make process-executor ingestion a
+deterministic function of the stream, and run the acceptance scenario
+on both executors: a 4-shard profiler over a 200k-event zipf stream
+whose hot-range report agrees with a single-tree oracle within the
+documented bound.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 import pytest
 
-from repro.core import RapConfig, RapTree
-from repro.runtime import Profiler
+from repro.core import RapConfig, RapTree, dump_tree
+from repro.runtime import MIN_RING_BYTES, Profiler
 
 from tests.core.test_tree_fastpath import phased_stream, shape, zipf_stream
 
@@ -49,10 +50,14 @@ def random_ranges(rng: random.Random, n: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def profiled_snapshot(values: Sequence[int], shards: int, **options) -> RapTree:
+def backend_for(executor: str) -> str:
     # The process executor hosts shard trees in shared-memory columns,
     # which only the columnar backend provides.
-    backend = "columnar" if options.get("executor") == "process" else "object"
+    return "columnar" if executor == "process" else "object"
+
+
+def profiled_snapshot(values: Sequence[int], shards: int, **options) -> RapTree:
+    backend = backend_for(options.get("executor", "serial"))
     config = RapConfig(UNIVERSE, epsilon=EPS, backend=backend)
     with Profiler(config, shards=shards, **options) as profiler:
         profiler.ingest(np.asarray(values, dtype=np.uint64))
@@ -94,31 +99,15 @@ class TestAccuracyBoundAcrossShardCounts:
 class TestDeterminism:
     """block/spill ingestion is a pure function of the stream."""
 
-    @pytest.mark.parametrize("shards", [2, 8])
-    def test_threaded_block_matches_serial_shape(self, shards):
-        rng = random.Random(103)
-        values = zipf_stream(rng, UNIVERSE, 20_000)
-        # Same batch size on both sides: chunk boundaries decide how
-        # duplicates combine, which legitimately shifts split timing.
-        serial = profiled_snapshot(
-            values, shards, executor="serial", batch_size=512,
-        )
-        threaded = profiled_snapshot(
-            values, shards, executor="thread", backpressure="block",
-            queue_capacity=2, batch_size=512,
-        )
-        assert shape(threaded.root) == shape(serial.root)
-
     def test_spill_matches_block_shape(self):
         rng = random.Random(107)
         values = phased_stream(rng, UNIVERSE, 20_000)
-        block = profiled_snapshot(
-            values, 4, backpressure="block", queue_capacity=1, batch_size=256,
+        options = dict(
+            executor="process", ring_bytes=MIN_RING_BYTES, batch_size=128
         )
-        spill = profiled_snapshot(
-            values, 4, backpressure="spill", queue_capacity=1, batch_size=256,
-        )
-        assert shape(spill.root) == shape(block.root)
+        block = profiled_snapshot(values, 4, backpressure="block", **options)
+        spill = profiled_snapshot(values, 4, backpressure="spill", **options)
+        assert dump_tree(spill) == dump_tree(block)
 
     def test_repeat_runs_are_identical(self):
         rng = random.Random(109)
@@ -159,68 +148,53 @@ class TestProcessExecutorOracle:
         values = zipf_stream(rng, UNIVERSE, 15_000)
         first = profiled_snapshot(values, 4, executor="process")
         second = profiled_snapshot(values, 4, executor="process")
-        assert shape(first.root) == shape(second.root)
+        assert dump_tree(first) == dump_tree(second)
 
-    @pytest.mark.parametrize("transport", ["ring", "pipe"])
-    def test_repeat_runs_identical_on_each_transport(self, transport):
-        rng = random.Random(2010)
-        values = zipf_stream(rng, UNIVERSE, 15_000)
-        first = profiled_snapshot(
-            values, 4, executor="process", transport=transport
-        )
-        second = profiled_snapshot(
-            values, 4, executor="process", transport=transport
-        )
-        assert shape(first.root) == shape(second.root)
-
-    def test_ring_and_pipe_transports_agree_bit_for_bit(self):
-        # Flush points are a pure function of the frame sequence, and
-        # both transports carry the identical sequence of partitioned
-        # frames — so the folded trees must serialize identically, not
-        # merely land within the accuracy envelope of each other.
-        from repro.core import dump_tree
-
-        rng = random.Random(2014)
-        values = zipf_stream(rng, UNIVERSE, 30_000)
-        ring = profiled_snapshot(
-            values, 4, executor="process", transport="ring"
-        )
-        pipe = profiled_snapshot(
-            values, 4, executor="process", transport="pipe"
-        )
-        assert dump_tree(ring) == dump_tree(pipe)
-
-    def test_process_within_envelope_of_threaded(self):
+    def test_process_within_envelope_of_serial(self):
         rng = random.Random(127)
         values = zipf_stream(rng, UNIVERSE, 20_000)
-        threaded = profiled_snapshot(values, 4, executor="thread")
+        serial = profiled_snapshot(values, 4, executor="serial")
         process = profiled_snapshot(values, 4, executor="process")
         budget = 2 * EPS * len(values)  # each side undercounts <= eps*n
         for lo, hi in random_ranges(rng, 40):
-            delta = abs(process.estimate(lo, hi) - threaded.estimate(lo, hi))
+            delta = abs(process.estimate(lo, hi) - serial.estimate(lo, hi))
             assert delta <= budget, (lo, hi)
 
 
 class TestSanitizedRuns:
     """The race sanitizer must observe nothing — and change nothing."""
 
-    def test_sanitized_run_is_clean_and_matches_unsanitized(self):
+    @staticmethod
+    def sanitized_matches_plain(executor: str) -> dict:
         rng = random.Random(131)
         values = zipf_stream(rng, UNIVERSE, 30_000)
-        plain = profiled_snapshot(values, 4)
-        config = RapConfig(UNIVERSE, epsilon=EPS, debug_sanitize=True)
-        with Profiler(config, shards=4) as profiler:
+        plain = profiled_snapshot(values, 4, executor=executor)
+        config = RapConfig(
+            UNIVERSE,
+            epsilon=EPS,
+            backend=backend_for(executor),
+            debug_sanitize=True,
+        )
+        with Profiler(config, shards=4, executor=executor) as profiler:
             profiler.ingest(np.asarray(values, dtype=np.uint64))
             sanitized = profiler.snapshot()
         sanitizer = profiler.sanitizer
         assert sanitizer is not None
-        assert sanitizer.violations == ()
         report = sanitizer.report()
-        assert report["trees_tracked"] == 4
-        assert report["queues_tracked"] == 4
+        assert report["violations"] == []
         assert report["events_logged"] > 0
-        # Instrumentation is observation-only: identical tree shape.
-        assert shape(sanitized.root) == shape(plain.root)
+        # Instrumentation is observation-only: identical trees.
+        assert dump_tree(sanitized) == dump_tree(plain)
+        return report
+
+    def test_sanitized_run_is_clean_and_matches_unsanitized(self):
+        report = self.sanitized_matches_plain("serial")
+        assert report["trees_tracked"] == 4
+
+    def test_sanitized_process_run_is_clean_and_matches_unsanitized(self):
+        report = self.sanitized_matches_plain("process")
+        # Worker-side sanitizers track the trees and report in.
+        assert len(report["workers"]) == 4
 
     def test_sanitized_serial_run_is_clean(self):
         rng = random.Random(137)
@@ -234,7 +208,9 @@ class TestSanitizedRuns:
 
 
 class TestAcceptanceScenario:
-    """ISSUE acceptance: 4 shards, 200k zipf events, hot ranges vs oracle."""
+    """Acceptance: 4 shards, 200k zipf events, hot ranges vs oracle."""
+
+    executor = "serial"
 
     @pytest.fixture(scope="class")
     def stream(self):
@@ -245,8 +221,10 @@ class TestAcceptanceScenario:
     @pytest.fixture(scope="class")
     def snapshot(self, stream):
         values, _ = stream
-        config = RapConfig(UNIVERSE, epsilon=EPS)
-        with Profiler(config, shards=4, executor="thread") as profiler:
+        config = RapConfig(
+            UNIVERSE, epsilon=EPS, backend=backend_for(self.executor)
+        )
+        with Profiler(config, shards=4, executor=self.executor) as profiler:
             profiler.ingest(np.asarray(values, dtype=np.uint64))
             report = profiler.hot_ranges(hot_fraction=0.05)
             return profiler.snapshot(), report
@@ -286,3 +264,9 @@ class TestAcceptanceScenario:
     def test_snapshot_satisfies_tree_invariants(self, snapshot):
         folded, _ = snapshot
         folded.check_invariants()
+
+
+class TestAcceptanceScenarioProcess(TestAcceptanceScenario):
+    """The same acceptance scenario on the process executor."""
+
+    executor = "process"
