@@ -25,10 +25,12 @@ The contract (also documented in ``docs/performance.md``):
 
 The production hot set mirrors the per-backend benchmark rows:
 
-* the columnar vectorized ingest rounds (``_vector_round`` and the
-  batch entry points driving it),
-* the object backend's descent-cache fast paths (``_locate`` plus the
-  inline loops of ``extend``/``add_counted``/``add_batch``),
+* the columnar batch kernel: its one scalar deposit loop
+  (``_scalar_deposit``), the vectorized rounds (``_vector_round``) and
+  the batch entry points driving them,
+* the object backend's descent-cache fast paths (``_locate``, the one
+  inline update loop ``_deposit`` and the ``extend``/``add_counted``/
+  ``add_batch`` entry points feeding it),
 * the TCAM batch match (``search_batch``) the hardware pipeline leans
   on.
 """
@@ -44,6 +46,7 @@ HOT_MARKER = "rap: hot"
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "core/columnar.py": frozenset(
         {
+            "ColumnarRapTree._scalar_deposit",
             "ColumnarRapTree._vector_round",
             "ColumnarRapTree.extend",
             "ColumnarRapTree.add_counted",
@@ -53,6 +56,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "core/tree.py": frozenset(
         {
             "RapTree._locate",
+            "RapTree._deposit",
             "RapTree.extend",
             "RapTree.add_counted",
             "RapTree.add_batch",

@@ -37,17 +37,27 @@ path. ``_rebuild_cover`` serves as the oracle that ``check_invariants``
 compares against, and builds the index once, on first use, for a tree
 wrapped by ``attach_columns``.
 
-Batch ingest (`extend` / `add_counted` / `add_batch`) consumes one
-*window* per round. The round routes the window through the cover
-index, cuts it before the next merge trigger and before any malformed
-item, and partitions the cut into *safe* positions — provably inline at
-their arrival moment — and *holdout* positions. Safe positions are
-applied with one exact ``bincount`` scatter; holdouts (the tail of each
-owner that crosses the split threshold) replay through the exact scalar
-cascade in arrival order, each with ``events`` rewound to its arrival
-value, so split cascades land exactly where the object backend puts
-them. Unlike a prefix mask, a blocked owner never stalls the rest of
-the window: every other owner's items still vectorize. The scalar
+Batch ingest has one form: counted columns (uint64 values, int64
+counts). ``add_counted``/``add_batch``/``add_counted_arrays`` convert
+their input to the two columns at the entry, and ``extend`` run-length
+encodes its raw stream into them (a run of ``k`` equal values is the
+pair ``(value, k)``, unit-for-unit identical to ``k`` single adds —
+Section 3.3). The entry also cuts the batch at its first malformed item:
+the kernel ingests the prefix, then ``add()`` on the bad item raises
+the object backend's error.
+
+The kernel (``_ingest``) alternates scalar windows and vectorized
+rounds. A round routes one *window* through the cover index, cuts it
+before the next merge trigger, and partitions the cut into *safe*
+positions — provably inline at their arrival moment — and *holdout*
+positions. Safe positions are applied with one exact ``bincount``
+scatter; holdouts (the tail of each owner that crosses the split
+threshold) replay in arrival order, each with ``events`` rewound to its
+arrival value, so split cascades land exactly where the object backend
+puts them. Unlike a prefix mask, a blocked owner never stalls the rest
+of the window: every other owner's items still vectorize. Scalar
+windows (a cold tree's split storm, a short tail) and the holdout
+replay run the same scalar deposit loop (``_scalar_deposit``), whose
 cascade is arithmetic-identical to :class:`repro.core.tree.RapTree`
 (same closed-form split crossing points, same mid-count merges), so the
 two backends produce identical trees for identical operation sequences.
@@ -90,6 +100,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from array import array
 from typing import (
     Callable,
     Dict,
@@ -117,8 +128,11 @@ _WINDOW_MIN = 512
 _WINDOW_START = 1024
 _WINDOW_MAX = 16384
 # Below this many remaining items the fixed numpy overhead of a round
-# (array conversion, argsort, mask passes) costs more than finishing
-# the tail through the scalar kernel, which runs ~1us per item.
+# (routing, argsort, mask passes) costs more than finishing the tail
+# through the scalar loop, which runs ~1us per item. It is also the
+# length of a storm-mode scalar window: short windows notice quickly
+# when crossings have thinned out (a raw stream's items are runs of
+# equal values, so a window of them can hold many more events).
 _MIN_VECTOR_TAIL = 384
 
 # int64 split point for _exact_bincount: weights are divided at 32 bits
@@ -128,6 +142,9 @@ _INT64_MAX = 2**63 - 1
 # float64(2**63), exact: thresholds at or above it exceed every int64
 # counter, so the integer-side comparison clamps to _INT64_MAX there.
 _TWO_POW_63 = 9223372036854775808.0
+# Batches whose running event totals could reach this take the per-item
+# path: the kernel keeps them in int64 (see _cut).
+_TWO_POW_62 = 4611686018427387904.0
 
 
 def _exact_bincount(
@@ -149,6 +166,29 @@ def _exact_bincount(
     low = np.bincount(owners, weights=weights & _LOW32, minlength=minlength)
     high = np.bincount(owners, weights=weights >> 32, minlength=minlength)
     return low.astype(np.int64) + (high.astype(np.int64) << 32)
+
+
+_TYPECODES = {"Q": np.dtype(np.uint64), "q": np.dtype(np.int64)}
+
+
+def _int_column(items, typecode: str) -> np.ndarray:
+    """``items`` as an integer array, or whatever ``np.asarray`` infers.
+
+    A list goes through ``array.array(typecode)`` first: it converts
+    exactly or raises — no float truncation, no wrap — at a fraction of
+    the cost of numpy's per-item type inference. Lists it refuses
+    (negative values under ``"Q"``, non-integers, magnitudes past 64
+    bits) and arrays fall back to ``np.asarray``; the caller checks the
+    inferred dtype.
+    """
+    if isinstance(items, list):
+        try:
+            return np.frombuffer(
+                array(typecode, items), dtype=_TYPECODES[typecode]
+            )
+        except (OverflowError, TypeError):
+            pass
+    return np.asarray(items)
 
 
 #: Per-slot columns, grown together (see _grow). ``_free_slots`` rides
@@ -280,7 +320,7 @@ class ColumnarRapTree:
         # ``_calm`` counts consecutive low-fallback scalar windows; the
         # storm only ends after two, so one quiet window between split
         # bursts (common in chunked counted feeds) does not buy a
-        # wasted convert-and-vectorize round trip.
+        # wasted vectorized round trip.
         self._storm = True
         self._calm = 0
 
@@ -1006,9 +1046,7 @@ class ColumnarRapTree:
         cap = self._capacity
         while True:
             next_at = scheduler.next_at
-            m_merge = int(next_at - events)
-            if events + m_merge < next_at:
-                m_merge += 1
+            m_merge = math.ceil(next_at) - events
             if m_merge < 1:
                 m_merge = 1
             m = remaining if remaining < m_merge else m_merge
@@ -1103,19 +1141,38 @@ class ColumnarRapTree:
     # ------------------------------------------------------------------
 
     def extend(self, values: Iterable[int]) -> None:
-        """Feed a stream of single events (vectorized rounds).
+        """Feed a stream of single events.
 
-        Observably identical to calling :meth:`add` per value; with
-        timeline sampling or self-audits enabled the per-event path is
-        used outright so those hooks see every event.
+        Observably identical to calling :meth:`add` per value. One
+        vectorized pass run-length encodes the stream — a run of ``k``
+        equal values is the counted pair ``(value, k)``, unit-for-unit
+        identical to ``k`` single adds (Section 3.3) — and the pairs go
+        through the counted kernel. ``TreeStats.updates`` still counts
+        one update per event, as the object backend does.
         """
-        items = values if isinstance(values, list) else list(values)
-        self._ingest(items, True)
+        items = values
+        if not isinstance(items, (list, np.ndarray)):
+            items = list(items)
+        cut = self._cut(items, None)
+        if cut is None:
+            for value in items:
+                self.add(value)
+            return
+        varr, _, end = cut
+        if end:
+            head = np.empty(end, dtype=np.bool_)
+            head[0] = True
+            np.not_equal(varr[1:], varr[:-1], out=head[1:])
+            starts = np.flatnonzero(head)
+            self._ingest(varr[starts], np.diff(starts, append=end))
+            self._stats.updates += end - int(starts.size)
+        if end < len(items):
+            # Malformed: raises the object backend's error.
+            self.add(items[end])
 
     def add_counted(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Feed pre-combined ``(value, count)`` pairs in arrival order."""
-        items = pairs if isinstance(pairs, list) else list(pairs)
-        self._ingest(items, False)
+        self._ingest_pairs(pairs if isinstance(pairs, list) else list(pairs))
 
     def add_batch(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Feed ``(value, count)`` pairs, sorted once and routed in bulk.
@@ -1123,7 +1180,7 @@ class ColumnarRapTree:
         Observably identical to ``add_counted(sorted(pairs))`` — the
         same contract as the object backend's batch kernel.
         """
-        self._ingest(sorted(pairs), False)
+        self._ingest_pairs(sorted(pairs))
 
     def add_counted_arrays(
         self, values: np.ndarray, counts: np.ndarray
@@ -1131,16 +1188,10 @@ class ColumnarRapTree:
         """Feed pre-combined ``(value, count)`` columns, array-native.
 
         Observably identical to
-        ``add_counted(list(zip(values.tolist(), counts.tolist())))``,
-        but the pair list is never built unless a scalar window needs
-        it: the vectorized rounds consume the arrays directly. This is
-        the process executor's frame path — shard workers receive
-        ``(values, counts)`` ndarray frames off the pipe and ingest
-        them without a tuple transpose on either side. Inputs the
-        column dtypes cannot represent faithfully (negative or
-        non-integer values, counts past int64) take the exact per-item
-        path instead, which raises the object backend's errors at the
-        same item.
+        ``add_counted(list(zip(values.tolist(), counts.tolist())))``
+        without ever building the pair list. This is the process
+        executor's frame path: shard workers ingest ``(values, counts)``
+        ndarray frames straight off their ring.
         """
         values = np.asarray(values)
         counts = np.asarray(counts)
@@ -1149,33 +1200,83 @@ class ColumnarRapTree:
                 "values and counts must be matching 1-D arrays, got "
                 f"shapes {values.shape} and {counts.shape}"
             )
-        if (
-            values.dtype.kind not in "iu"
-            or counts.dtype.kind not in "iu"
-            or (
-                values.dtype.kind == "i"
-                and values.size
-                and int(values.min()) < 0
-            )
-            or (
+        cut = self._cut(values, counts)
+        if cut is None:
+            for value, count in zip(values.tolist(), counts.tolist()):
+                self.add(value, count)
+            return
+        varr, carr, end = cut
+        if end:
+            self._ingest(varr, carr)
+        if end < values.size:
+            # Malformed: raises the object backend's error.
+            self.add(int(values[end]), int(counts[end]))
+
+    def _ingest_pairs(self, items: List[Tuple[int, int]]) -> None:
+        """Counted-pair entry shared by ``add_counted``/``add_batch``."""
+        try:
+            values = [value for value, _ in items]
+            counts = [count for _, count in items]
+        except (TypeError, ValueError):
+            values = None  # a pair that does not unpack: per-item path
+        cut = None if values is None else self._cut(values, counts)
+        if cut is None:
+            for value, count in items:
+                self.add(value, count)
+            return
+        varr, carr, end = cut
+        if end:
+            self._ingest(varr, carr)
+        if end < len(items):
+            # Malformed: raises the object backend's error.
+            self.add(*items[end])
+
+    def _cut(
+        self, values, counts
+    ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], int]]:
+        """The well-formed prefix of one batch, as kernel columns.
+
+        Returns ``(values, counts, end)``: uint64 values and int64
+        counts (``None`` for a raw stream) of items ``[0, end)``, where
+        ``end`` is the first malformed item — a value outside the
+        universe or a count below one — or the batch size. Returns
+        ``None`` when the batch must take the per-item :meth:`add` path
+        instead, which raises the object backend's errors at the same
+        item: per-event hooks (timeline sampling, self-audits) must see
+        every event, or numpy cannot represent the batch exactly
+        (non-integer items, counts past int64, event totals nearing
+        int64 — the kernel keeps running totals in int64).
+        """
+        if self._confined_ident is not None:
+            self._assert_owner()
+        if self._stats.sample_every > 0 or self._audit_every:
+            return None
+        values = _int_column(values, "Q")
+        if values.ndim != 1 or values.dtype.kind not in "iu":
+            return None
+        bad = values > self._root_hi
+        if values.dtype.kind == "i":
+            bad |= values < 0
+        if counts is not None:
+            counts = _int_column(counts, "q")
+            if counts.dtype.kind not in "iu" or (
                 counts.dtype.kind == "u"
                 and counts.size
                 and int(counts.max()) > _INT64_MAX
-            )
-        ):
-            # astype would wrap these silently (ndarray casts do not
-            # range-check like Python ints); the list path validates
-            # per item and raises exactly like the object backend.
-            self._ingest(list(zip(values.tolist(), counts.tolist())), False)
-            return
-        self._ingest(
-            None,
-            False,
-            columns=(
-                values.astype(np.uint64, copy=False),
-                counts.astype(np.int64, copy=False),
-            ),
-        )
+            ):
+                return None
+            bad |= counts < 1
+        end = int(bad.argmax()) if bad.any() else int(values.size)
+        values = values[:end].astype(np.uint64, copy=False)
+        if counts is None:
+            weight = float(end)
+        else:
+            counts = counts[:end].astype(np.int64, copy=False)
+            weight = float(counts.sum(dtype=np.float64))
+        # Half of int64 leaves room for the float estimate's rounding.
+        if self._events + weight >= _TWO_POW_62:
+            return None
+        return values, counts, end
 
     def bootstrap_counted_arrays(
         self, values: np.ndarray, counts: np.ndarray
@@ -1214,40 +1315,24 @@ class ColumnarRapTree:
         values with positive int64 counts. Fall back to
         :meth:`add_counted_arrays` in that case.
         """
-        if self._confined_ident is not None:
-            self._assert_owner()
         if (
             self._events != 0
             or self._node_count != 1
             or self._size != 1
             or self._free_top != 0
-            or self._stats.sample_every > 0
-            or self._audit_every
         ):
             return False
         values = np.asarray(values)
         counts = np.asarray(counts)
-        if (
-            values.ndim != 1
-            or values.shape != counts.shape
-            or values.size == 0
-            or values.dtype.kind not in "iu"
-            or counts.dtype.kind not in "iu"
-        ):
+        if values.shape != counts.shape:
             return False
-        if values.dtype.kind == "i" and int(values.min()) < 0:
+        # _cut also rules out per-event hooks and int64 overflow in the
+        # exact sum below.
+        cut = self._cut(values, counts)
+        if cut is None or cut[2] != values.size or values.size == 0:
             return False
-        if counts.dtype.kind == "u" and int(counts.max()) > _INT64_MAX:
-            return False
-        varr = values.astype(np.uint64, copy=False)
-        carr = counts.astype(np.int64, copy=False)
-        if (
-            int(carr.min()) <= 0
-            or int(varr[-1]) > self._root_hi
-            or not bool(np.all(varr[:-1] < varr[1:]))
-            # Rules out int64 overflow in the exact sum below.
-            or float(carr.sum(dtype=np.float64)) >= float(_INT64_MAX)
-        ):
+        varr, carr, _ = cut
+        if not bool(np.all(varr[:-1] < varr[1:])):
             return False
         total = int(carr.sum())
         floor_t = min(
@@ -1447,85 +1532,28 @@ class ColumnarRapTree:
         if chunk:
             self.add_batch(chunk.items())
 
-    def _ingest(
-        self,
-        items: Optional[Sequence],
-        ones: bool,
-        columns: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> None:
-        """Shared bulk kernel behind extend/add_counted/add_batch.
+    def _ingest(self, varr: np.ndarray, carr: np.ndarray) -> None:
+        """The batch kernel: counted columns, deposited in arrival order.
 
-        One vectorized round per window: scatter the provably-safe
-        positions, replay the holdouts through the exact scalar cascade
-        (see the module docstring). Items a round cannot start on —
-        merge triggers and malformed items — go through :meth:`add`,
-        which fires the merge mid-count or raises exactly like the
-        object backend. ``ones`` means ``items`` is a raw value stream;
-        otherwise it is a list of ``(value, count)`` pairs, consumed
-        as-is (the scalar kernel unpacks the tuples exactly like the
-        object backend's loops — no column transpose unless a
-        vectorized round actually runs).
-
-        ``columns`` is the array-native entry
-        (:meth:`add_counted_arrays`): ``items`` is passed as ``None``
-        and the ``(values, counts)`` arrays — already validated to fit
-        the column dtypes — feed the vectorized rounds directly. The
-        pair list is materialized lazily, only if a scalar window or a
-        per-item error path actually needs it.
+        ``varr`` (uint64) and ``carr`` (int64) are a well-formed batch
+        (see :meth:`_cut`). The kernel alternates scalar windows
+        (:meth:`_scalar_deposit`) and vectorized rounds
+        (:meth:`_vector_round`); both are the exact scalar semantics,
+        so the choice is purely a routing heuristic. Every item
+        deposits exactly once, in order, so its arrival event total is
+        known up front: ``landed`` holds the running total after each
+        item, ``arrivals`` the total before it.
         """
-        if self._confined_ident is not None:
-            self._assert_owner()
-
-        if columns is not None:
-            col_values, col_counts = columns
-            total = int(col_values.size)
-        else:
-            col_values = col_counts = None
-            total = len(items)
-
-        def _pairs() -> Sequence:
-            # Lazy pair list for the scalar windows of an array-native
-            # ingest; cached so storms pay the transpose once.
-            nonlocal items
-            if items is None:
-                items = list(
-                    zip(col_values.tolist(), col_counts.tolist())
-                )
-            return items
-
-        stats = self._stats
-        if stats.sample_every > 0 or self._audit_every:
-            # Sampling/audit hooks must see every event: per-event path.
-            add = self.add
-            if ones:
-                for value in _pairs():
-                    add(value)
-            else:
-                for value, count in _pairs():
-                    add(value, count)
-            return
-        if not total:
-            return
-        # All numpy-side state is computed lazily on the first
-        # vectorized round: storm-mode windows run on the Python lists
-        # directly (validity checked inline, like the object backend's
-        # fast loops), so a fully-stormed ingest never pays the
-        # list-to-array conversion at all. ``varr is None`` doubles as
-        # the not-yet-converted marker; ``cum_counts`` holds running
-        # event totals after each item (events at any point is the
-        # start total plus this prefix — every item deposits exactly
-        # once, in order) and ``invalid_at`` the positions the vector
-        # path must hand to add() for error parity.
-        varr = None
-        carr = None
-        cum_counts = None
-        invalid_at = None
+        total = int(varr.size)
+        landed = np.cumsum(carr)
+        landed += self._events
+        arrivals = landed - carr
         index = 0
         window = _WINDOW_START
         # Storm mode: while thresholds are tiny (cold tree, small n)
         # nearly every item is a true crossing, so a vectorized round
         # would compute masks just to route the whole window into the
-        # replay loop. Run those windows through the scalar kernel
+        # replay loop. Run those windows through the scalar loop
         # directly and come back to vectorized rounds once crossings
         # thin out. The flag persists across calls (chunked feeders
         # re-enter here mid-storm).
@@ -1533,53 +1561,23 @@ class ColumnarRapTree:
         calm = self._calm
         try:
             while index < total:
-                if total - index < _MIN_VECTOR_TAIL:
-                    # Short tail: the scalar kernel, storm or not (it is
-                    # the exact cascade, just without the numpy round).
-                    next_index, fallbacks = self._scalar_run(
-                        _pairs(), ones, index, total - index
+                if storm or total - index < _MIN_VECTOR_TAIL:
+                    # Scalar window: a storm probe, or a tail too short
+                    # to pay a round's fixed numpy overhead.
+                    end = min(index + _MIN_VECTOR_TAIL, total)
+                    fallbacks = self._scalar_deposit(
+                        varr[index:end].tolist(),
+                        carr[index:end].tolist(),
+                        arrivals[index:end].tolist(),
                     )
-                    if next_index == index:
-                        # Malformed item at the head: add() raises the
-                        # object backend's exact error.
-                        if ones:
-                            self.add(items[index])
-                        else:
-                            self.add(*items[index])
-                        index += 1
-                        continue
-                    consumed = next_index - index
-                    index = next_index
-                    if 64 * fallbacks > consumed:
-                        storm = True
-                        calm = 0
-                    else:
-                        calm += 1
-                        if calm >= 2:
-                            storm = False
-                    continue
-                if storm:
-                    next_index, fallbacks = self._scalar_run(
-                        _pairs(), ones, index, window
-                    )
-                    if next_index == index:
-                        # Malformed item at the head: add() raises the
-                        # object backend's exact error.
-                        if ones:
-                            self.add(items[index])
-                        else:
-                            self.add(*items[index])
-                        index += 1
-                        continue
-                    consumed = next_index - index
-                    index = next_index
+                    consumed = end - index
+                    index = end
                     # Leave the storm only when true crossings have
                     # been rare for two windows running: the vectorized
                     # rounds win solely through the safe scatter, a
                     # single crossing owner can drag its whole camp
-                    # into the (pricier) replay loop, and one quiet
-                    # window mid-storm is usually just the gap between
-                    # split bursts.
+                    # into the replay, and one quiet window mid-storm
+                    # is usually just the gap between split bursts.
                     if 64 * fallbacks > consumed:
                         storm = True
                         calm = 0
@@ -1588,64 +1586,13 @@ class ColumnarRapTree:
                         if calm >= 2:
                             storm = False
                     continue
-                if varr is None:
-                    if col_values is not None:
-                        # Array-native ingest: dtypes were validated by
-                        # add_counted_arrays, no conversion to attempt.
-                        varr = col_values
-                        carr = col_counts
-                    else:
-                        try:
-                            if ones:
-                                varr = np.asarray(items, dtype=np.uint64)
-                                carr = None
-                            else:
-                                vcols, ccols = zip(*items)
-                                varr = np.asarray(vcols, dtype=np.uint64)
-                                carr = np.asarray(ccols, dtype=np.int64)
-                        except (OverflowError, TypeError, ValueError):
-                            # Out-of-dtype input (negative / huge /
-                            # non-integer values): finish on the exact
-                            # per-item path, which raises the same
-                            # errors at the same item the object
-                            # backend would.
-                            add = self.add
-                            if ones:
-                                while index < total:
-                                    add(items[index])
-                                    index += 1
-                            else:
-                                while index < total:
-                                    add(*items[index])
-                                    index += 1
-                            break
-                    if ones:
-                        invalid_at = np.flatnonzero(
-                            varr > np.uint64(self._root_hi)
-                        )
-                    else:
-                        invalid_at = np.flatnonzero(
-                            (varr > np.uint64(self._root_hi)) | (carr <= 0)
-                        )
-                        cum_counts = np.cumsum(carr)
                 next_index, holdouts = self._vector_round(
-                    varr, carr, cum_counts, invalid_at, ones, index, window
+                    varr, carr, landed, arrivals, index, window
                 )
                 if next_index == index:
-                    # Blocked at the head: merge trigger or malformed
-                    # item — the scalar port decides authoritatively.
-                    if ones:
-                        self.add(_pairs()[index])
-                    else:
-                        if items is None:
-                            # Array-native head item: no pair list yet,
-                            # and one blocked item does not justify the
-                            # full transpose.
-                            self.add(
-                                int(varr[index]), int(carr[index])
-                            )
-                        else:
-                            self.add(*items[index])
+                    # The merge trigger falls inside the head item:
+                    # add() fires it mid-count.
+                    self.add(int(varr[index]), int(carr[index]))
                     index += 1
                     continue
                 consumed = next_index - index
@@ -1667,44 +1614,33 @@ class ColumnarRapTree:
             self._generation += 1
             self._view_root = None
 
-    def _scalar_run(
+    def _scalar_deposit(
         self,
-        items: Sequence,
-        ones: bool,
-        start: int,
-        window: int,
-    ) -> Tuple[int, int]:
-        """Storm-mode window: the exact scalar kernel, no vector pass.
+        values: List[int],
+        counts: List[int],
+        arrivals: List[int],
+    ) -> int:
+        """The one scalar deposit loop: exact cascade semantics per item.
 
-        This is the replay loop of :meth:`_vector_round` applied to the
-        whole window — finger search, inline fit check, full cascade
-        only on true threshold/merge crossings, consecutive equal
-        values run-combined — without first computing a safe mask that
-        a cold window would route to the replay anyway. Semantics are
-        the scalar port's by construction; there is no mask to prove
-        anything about. Runs on the Python list directly (no array
-        conversion, and for counted feeds no column transpose — the
-        pair tuples are unpacked in place, exactly like the object
-        backend's loops): malformed items — out-of-universe values,
-        non-positive counts — are detected inline and stop the window
-        at their position. Returns ``(next_index, fallbacks)`` where
-        ``fallbacks`` counts full-cascade deposits — the storm-exit
-        signal (few crossings means thresholds have outgrown typical
-        deposits and the vectorized rounds pay again). A return of
-        ``start`` means a malformed item sits at the head; the caller
-        routes it through add() for error parity.
+        Deposits ``counts[i]`` units of ``values[i]`` arriving at event
+        total ``arrivals[i]`` — consecutive totals for a scalar window,
+        each held item's own (rewound) total for a vectorized round's
+        holdout replay. A deposit that fits its deepest cover at its
+        landing moment is one counter store (inline finger search, fit
+        check against the item's own threshold); only true threshold or
+        merge crossings take the full cascade (:meth:`_absorb_slot`),
+        which is arithmetic-identical to the object backend. Returns
+        how many deposits cascaded — the storm signal (few crossings
+        means thresholds have outgrown typical deposits and the
+        vectorized rounds pay again). Leaves ``events`` at the last
+        item's landing.
         """
-        total = len(items)
-        end = start + window
-        if end > total:
-            end = total
         absorb = self._absorb_slot
         scheduler = self._scheduler
         stats = self._stats
         eps_h = self._eps_over_height
         min_th = self._min_threshold
-        root_hi = self._root_hi
-        next_at_now = scheduler.next_at
+        next_at = scheduler.next_at
         vcounts = self._v_counts
         vitem = self._v_is_item
         vdirty = self._v_dirty
@@ -1719,9 +1655,9 @@ class ColumnarRapTree:
         pending_weight = 0
         pending_updates = 0
         fallbacks = 0
-        evt = self._events
-        # Leaf cache: between fallbacks no split, merge or grow can
-        # happen, so the deepest leaf that took the last deposit — its
+        landed = self._events
+        # Leaf cache: between cascades no split, merge or grow can
+        # happen, so the childless slot that took the last deposit — its
         # bounds, is_item flag and running counter — stays valid as
         # plain Python ints. A stream camped on one leaf then deposits
         # with a single column store and zero reads. ``flo > fhi``
@@ -1731,272 +1667,129 @@ class ColumnarRapTree:
         fhi = 0
         fitem = False
         fcount = 0
-        if ones:
-            # Raw stream: indexed loop so consecutive equal values
-            # (common in address traces) combine into one deposit.
-            i = start
-            while i < end:
-                value = items[i]
-                if value < 0 or value > root_hi:
-                    end = i
-                    break
-                j = i + 1
-                while j < end and items[j] == value:
-                    j += 1
-                item_count = j - i
-                i = j
-                if flo <= value <= fhi:
-                    # Cached-leaf fast path: one store, no reads.
-                    landed = evt + item_count
-                    if landed < next_at_now:
-                        if fitem:
-                            fits = True
-                        else:
-                            th = eps_h * landed
-                            if th < min_th:
-                                th = min_th
-                            # Python int vs float: exact at any
-                            # magnitude.
-                            fits = fcount + item_count <= th
-                        if fits:
-                            fcount += item_count
-                            vcounts[floc] = fcount
-                            evt = landed
-                            pending_weight += item_count
-                            pending_updates += item_count
-                            continue
-                    slot = floc
-                else:
-                    # Inline finger search (the body of _deepest_slot,
-                    # with the finger kept in a local across
-                    # iterations).
-                    slot = cached
-                    if value < vlos[slot] or value > vhis[slot]:
-                        slot = vparents[slot]
-                        while slot != no_slot and (
-                            value < vlos[slot] or value > vhis[slot]
-                        ):
-                            slot = vparents[slot]
-                        if slot == no_slot:
-                            slot = 0
-                    # Descent: siblings sit in lo order, so the first
-                    # child whose hi reaches the value is the only
-                    # candidate; one lo read then decides
-                    # covered-vs-gap (merge passes can leave gaps
-                    # between surviving siblings).
-                    while True:
-                        child = vfirst[slot]
-                        while child != no_slot and value > vhis[child]:
-                            child = vnext[child]
-                        if child == no_slot or vlos[child] > value:
-                            break
-                        slot = child
-                    cached = slot
-                    landed = evt + item_count
-                    if landed < next_at_now:
-                        c0 = vcounts[slot]
-                        isit = vitem[slot]
-                        if isit:
-                            fits = True
-                        else:
-                            th = eps_h * landed
-                            if th < min_th:
-                                th = min_th
-                            # Python int vs float: exact at any
-                            # magnitude.
-                            fits = c0 + item_count <= th
-                        if fits:
-                            c0 += item_count
-                            vcounts[slot] = c0
-                            evt = landed
-                            pending_weight += item_count
-                            pending_updates += item_count
-                            if not vdirty[slot]:
-                                walk = slot
-                                while walk != no_slot and not vdirty[walk]:
-                                    vdirty[walk] = True
-                                    walk = vparents[walk]
-                            if vfirst[slot] == no_slot:
-                                # Childless: any in-range value is
-                                # deepest here. (``child == no_slot``
-                                # is weaker — children left of the
-                                # value also end the scan that way,
-                                # and they must keep catching their
-                                # own deposits.)
-                                floc = slot
-                                flo = vlos[slot]
-                                fhi = vhis[slot]
-                                fitem = isit
-                                fcount = c0
-                            continue
-                # True crossing (or merge boundary): the full cascade,
-                # which can split (growing and rebinding the column
-                # views) or merge (moving next_at and recycling slots —
-                # stale finger) — re-hoist the loop locals and drop the
-                # leaf cache.
-                flo = 1
-                fhi = 0
-                self._events = evt
-                absorb(slot, value, item_count)
-                stats.observe_update()
-                fallbacks += 1
-                evt = self._events
-                next_at_now = scheduler.next_at
-                if cap != self._capacity:
-                    # The cascade grew the columns: the memoryviews
-                    # were rebound — re-hoist. (Merges recycle slots
-                    # in place and never reallocate.)
-                    cap = self._capacity
-                    vcounts = self._v_counts
-                    vitem = self._v_is_item
-                    vdirty = self._v_dirty
-                    vparents = self._v_parents
-                    vlos = self._v_los
-                    vhis = self._v_his
-                    vfirst = self._v_first_child
-                    vnext = self._v_next_sibling
-                cached = self._cached_slot
-        else:
-            # Counted pairs: iterate at C speed like the object
-            # backend's fast loops (no run-combining — combined feeds
-            # carry unique values, so the lookahead never pays). Each
-            # pair deposits on its own, exactly like the object
-            # backend's per-pair path.
-            hit_bad = False
-            for value, item_count in items[start:end]:
-                if item_count <= 0 or value < 0 or value > root_hi:
-                    hit_bad = True
-                    break
-                if flo <= value <= fhi:
-                    # Cached-leaf fast path: one store, no reads.
-                    landed = evt + item_count
-                    if landed < next_at_now:
-                        if fitem:
-                            fits = True
-                        else:
-                            th = eps_h * landed
-                            if th < min_th:
-                                th = min_th
-                            # Python int vs float: exact at any
-                            # magnitude.
-                            fits = fcount + item_count <= th
-                        if fits:
-                            fcount += item_count
-                            vcounts[floc] = fcount
-                            evt = landed
-                            pending_weight += item_count
-                            pending_updates += 1
-                            continue
-                    slot = floc
-                else:
-                    slot = cached
-                    if value < vlos[slot] or value > vhis[slot]:
-                        slot = vparents[slot]
-                        while slot != no_slot and (
-                            value < vlos[slot] or value > vhis[slot]
-                        ):
-                            slot = vparents[slot]
-                        if slot == no_slot:
-                            slot = 0
-                    # Descent: siblings sit in lo order, so the first
-                    # child whose hi reaches the value is the only
-                    # candidate; one lo read then decides
-                    # covered-vs-gap (merge passes can leave gaps
-                    # between surviving siblings).
-                    while True:
-                        child = vfirst[slot]
-                        while child != no_slot and value > vhis[child]:
-                            child = vnext[child]
-                        if child == no_slot or vlos[child] > value:
-                            break
-                        slot = child
-                    cached = slot
-                    landed = evt + item_count
-                    if landed < next_at_now:
-                        c0 = vcounts[slot]
-                        isit = vitem[slot]
-                        if isit:
-                            fits = True
-                        else:
-                            th = eps_h * landed
-                            if th < min_th:
-                                th = min_th
-                            # Python int vs float: exact at any
-                            # magnitude.
-                            fits = c0 + item_count <= th
-                        if fits:
-                            c0 += item_count
-                            vcounts[slot] = c0
-                            evt = landed
-                            pending_weight += item_count
-                            pending_updates += 1
-                            if not vdirty[slot]:
-                                walk = slot
-                                while walk != no_slot and not vdirty[walk]:
-                                    vdirty[walk] = True
-                                    walk = vparents[walk]
-                            if vfirst[slot] == no_slot:
-                                # Childless: any in-range value is
-                                # deepest here (see the ones loop).
-                                floc = slot
-                                flo = vlos[slot]
-                                fhi = vhis[slot]
-                                fitem = isit
-                                fcount = c0
-                            continue
-                flo = 1
-                fhi = 0
-                self._events = evt
-                absorb(slot, value, item_count)
-                stats.observe_update()
-                fallbacks += 1
-                evt = self._events
-                next_at_now = scheduler.next_at
-                if cap != self._capacity:
-                    # The cascade grew the columns: the memoryviews
-                    # were rebound — re-hoist. (Merges recycle slots
-                    # in place and never reallocate.)
-                    cap = self._capacity
-                    vcounts = self._v_counts
-                    vitem = self._v_is_item
-                    vdirty = self._v_dirty
-                    vparents = self._v_parents
-                    vlos = self._v_los
-                    vhis = self._v_his
-                    vfirst = self._v_first_child
-                    vnext = self._v_next_sibling
-                cached = self._cached_slot
-            if hit_bad:
-                # Recover the malformed pair's index: every pair before
-                # it was valid (the loop deposited them), so the first
-                # invalid position from ``start`` is exactly where the
-                # iteration stopped.
-                at = start
-                while True:
-                    value, item_count = items[at]
-                    if (
-                        item_count <= 0
-                        or value < 0
-                        or value > root_hi
+        for value, count, arrival in zip(values, counts, arrivals):
+            landed = arrival + count
+            if flo <= value <= fhi:
+                # Cached-leaf fast path: one store, no reads.
+                if landed < next_at:
+                    if fitem:
+                        fits = True
+                    else:
+                        th = eps_h * landed
+                        if th < min_th:
+                            th = min_th
+                        # Python int vs float: exact at any magnitude.
+                        fits = fcount + count <= th
+                    if fits:
+                        fcount += count
+                        vcounts[floc] = fcount
+                        pending_weight += count
+                        pending_updates += 1
+                        continue
+                slot = floc
+            else:
+                # Inline finger search (the body of _deepest_slot, with
+                # the finger kept in a local across iterations).
+                slot = cached
+                if value < vlos[slot] or value > vhis[slot]:
+                    slot = vparents[slot]
+                    while slot != no_slot and (
+                        value < vlos[slot] or value > vhis[slot]
                     ):
+                        slot = vparents[slot]
+                    if slot == no_slot:
+                        slot = 0
+                # Descent: siblings sit in lo order, so the first child
+                # whose hi reaches the value is the only candidate; one
+                # lo read then decides covered-vs-gap (merge passes can
+                # leave gaps between surviving siblings).
+                while True:
+                    child = vfirst[slot]
+                    while child != no_slot and value > vhis[child]:
+                        child = vnext[child]
+                    if child == no_slot or vlos[child] > value:
                         break
-                    at += 1
-                end = at
-        self._events = evt
+                    slot = child
+                cached = slot
+                if landed < next_at:
+                    c0 = vcounts[slot]
+                    isit = vitem[slot]
+                    if isit:
+                        fits = True
+                    else:
+                        th = eps_h * landed
+                        if th < min_th:
+                            th = min_th
+                        # Python int vs float: exact at any magnitude.
+                        fits = c0 + count <= th
+                    if fits:
+                        c0 += count
+                        vcounts[slot] = c0
+                        pending_weight += count
+                        pending_updates += 1
+                        if not vdirty[slot]:
+                            walk = slot
+                            while walk != no_slot and not vdirty[walk]:
+                                vdirty[walk] = True
+                                walk = vparents[walk]
+                        if vfirst[slot] == no_slot:
+                            # Childless: any in-range value is deepest
+                            # here. (``child == no_slot`` is weaker —
+                            # children left of the value also end the
+                            # scan that way, and they must keep catching
+                            # their own deposits.)
+                            floc = slot
+                            flo = vlos[slot]
+                            fhi = vhis[slot]
+                            fitem = isit
+                            fcount = c0
+                        continue
+            # True crossing (or merge boundary): the full cascade, which
+            # can split (growing and rebinding the column views) or
+            # merge (moving next_at and recycling slots — stale finger).
+            # Re-hoist the loop locals and drop the leaf cache. A merge
+            # records the event total it fires at, so flush the inline
+            # deposits before one.
+            flo = 1
+            fhi = 0
+            if pending_updates and landed >= next_at:
+                stats.observe_batch(
+                    pending_weight, pending_updates, self._node_count
+                )
+                pending_weight = 0
+                pending_updates = 0
+            self._events = arrival
+            absorb(slot, value, count)
+            stats.observe_update()
+            fallbacks += 1
+            next_at = scheduler.next_at
+            if cap != self._capacity:
+                # Merges recycle slots in place and never reallocate;
+                # only a split's grow rebinds the views.
+                cap = self._capacity
+                vcounts = self._v_counts
+                vitem = self._v_is_item
+                vdirty = self._v_dirty
+                vparents = self._v_parents
+                vlos = self._v_los
+                vhis = self._v_his
+                vfirst = self._v_first_child
+                vnext = self._v_next_sibling
+            cached = self._cached_slot
+        self._events = landed
         self._cached_slot = cached
         if pending_updates:
             stats.observe_batch(
                 pending_weight, pending_updates, self._node_count
             )
-        return end, fallbacks
+        return fallbacks
 
-    def _vector_round(  # noqa: RAP-LINT023 - holdout replay is the exact scalar port, measured faster inline
+    def _vector_round(
         self,
         varr: np.ndarray,
-        carr: Optional[np.ndarray],
-        cum_counts: Optional[np.ndarray],
-        invalid_at: np.ndarray,
-        ones: bool,
+        carr: np.ndarray,
+        landed: np.ndarray,
+        arrivals: np.ndarray,
         start: int,
         window: int,
     ) -> Tuple[int, int]:
@@ -2004,59 +1797,36 @@ class ColumnarRapTree:
 
         Returns ``(next_index, holdouts)`` — the index of the first
         unconsumed item and how many items replayed through the scalar
-        cascade (the adaptive window signal). A return of ``start``
-        means the round could not start (merge trigger or malformed
-        item at the head); the caller routes that item through add().
+        loop (the adaptive window signal). A return of ``start`` means
+        the merge trigger falls inside the head item; the caller routes
+        that item through add().
 
         The fit predicate is exact per *position*: a position is safe
         when its owner's running deposit through it stays at or below
         the item's own arrival threshold — the same comparison the
         scalar cascade would make at that moment (the window is cut
-        before the next merge trigger, so arrival event totals are
-        known up front). Positions at or past their owner's first
-        crossing replay through the scalar cascade with ``events``
-        rewound to each item's arrival value, which reproduces the
-        object backend's split decisions exactly — the mask routes, it
-        never decides semantics.
+        before the next merge trigger). Positions at or past their
+        owner's first crossing replay through :meth:`_scalar_deposit`
+        with ``events`` rewound to each item's arrival, which
+        reproduces the object backend's split decisions exactly — the
+        mask routes, it never decides semantics.
         """
         self._sync_cover()
         total = varr.size
         if start + window > total:
             window = total - start
         size = self._size
-        events_before = self._events
-        next_at = self._scheduler.next_at
-        if ones:
-            # Raw stream: the j-th window item lands at events + j, so
-            # the merge cap is a scalar, no prefix array needed.
-            can_take = int(next_at) - events_before
-            while events_before + can_take >= next_at:
-                can_take -= 1
-            while events_before + can_take + 1 < next_at:
-                can_take += 1
-            limit = window if can_take >= window else max(can_take, 0)
-            n_after = None
+        n_after = landed[start : start + window]
+        # First item pushing events to >= next_at ends the window
+        # before it. Integral n >= next_at iff n >= ceil(next_at), so
+        # the cut compares int64 against an int64 scalar — exact at any
+        # magnitude (searchsorted against the raw float would round
+        # n_after past 2**53).
+        cap = math.ceil(self._scheduler.next_at)
+        if cap > _INT64_MAX:
+            limit = window
         else:
-            base = int(cum_counts[start - 1]) if start else 0
-            n_after = (
-                cum_counts[start : start + window] - base
-            ) + events_before
-            # First item pushing events to >= next_at ends the window
-            # before it. Integral n >= next_at iff n >= ceil(next_at),
-            # so the cut compares int64 against an int64 scalar — exact
-            # at any magnitude (searchsorted against the raw float
-            # would round n_after past 2**53).
-            cap = math.ceil(next_at)
-            if cap > _INT64_MAX:
-                limit = window
-            else:
-                limit = int(np.searchsorted(n_after, np.int64(cap)))
-        if invalid_at.size:
-            bad_index = np.searchsorted(invalid_at, start)
-            if bad_index < invalid_at.size:
-                next_invalid = int(invalid_at[bad_index]) - start
-                if next_invalid < limit:
-                    limit = next_invalid
+            limit = int(np.searchsorted(n_after, np.int64(cap)))
         if limit <= 0:
             return start, 0
         owners = self._cov_owner[
@@ -2065,8 +1835,7 @@ class ColumnarRapTree:
             )
             - 1
         ]
-        first_n = events_before + 1 if ones else int(n_after[0])
-        th0 = self._eps_over_height * first_n
+        th0 = self._eps_over_height * int(n_after[0])
         if th0 < self._min_threshold:
             th0 = self._min_threshold
         # Integer-side threshold: for integral totals, x <= th0 iff
@@ -2075,11 +1844,8 @@ class ColumnarRapTree:
         # past the clamp every representable total fits anyway.
         th_int = min(math.floor(th0), _INT64_MAX)
         counts = self._counts
-        weights = None if ones else carr[start : start + limit]
-        if ones:
-            totals = np.bincount(owners, minlength=size)
-        else:
-            totals = _exact_bincount(owners, weights, size)
+        weights = carr[start : start + limit]
+        totals = _exact_bincount(owners, weights, size)
         owner_ok = self._is_item[:size] | (counts[:size] + totals <= th_int)
         bad_at = np.flatnonzero(~owner_ok[owners])
         hold_pos = None
@@ -2112,24 +1878,18 @@ class ColumnarRapTree:
             np.not_equal(bowners[1:], bowners[:-1], out=group_start[1:])
             at = np.arange(flagged, dtype=np.int64)
             heads = np.maximum.accumulate(np.where(group_start, at, 0))
-            owner_base = counts[bowners]
-            if ones:
-                running = owner_base + (at - heads) + 1
-                landed = events_before + 1 + bpos
-            else:
-                wts = weights[bpos]
-                deposited = np.cumsum(wts)
-                running = (
-                    owner_base + deposited - (deposited[heads] - wts[heads])
-                )
-                landed = n_after[bpos]
+            wts = weights[bpos]
+            deposited = np.cumsum(wts)
+            running = (
+                counts[bowners] + deposited - (deposited[heads] - wts[heads])
+            )
             # Integer-side thresholds, vectorized: float64(landed)
             # rounds exactly like the scalar port's int-to-float
             # conversion, and integral running > th iff running >
             # floor(th). Thresholds at or past 2**63 are clamped to
             # _INT64_MAX (no int64 counter can exceed them) before the
             # cast, which would otherwise overflow.
-            th_arr = self._eps_over_height * landed.astype(np.float64)
+            th_arr = self._eps_over_height * n_after[bpos].astype(np.float64)
             np.maximum(th_arr, self._min_threshold, out=th_arr)
             big = th_arr >= _TWO_POW_63
             big_any = bool(big.any())
@@ -2147,141 +1907,32 @@ class ColumnarRapTree:
             hold_mask[bpos[held]] = True
             hold_pos = np.flatnonzero(hold_mask)
             safe_pos = np.flatnonzero(~hold_mask)
-            if ones:
-                sums = np.bincount(owners[safe_pos], minlength=size)
-            else:
-                sums = _exact_bincount(
-                    owners[safe_pos], weights[safe_pos], size
-                )
+            sums = _exact_bincount(owners[safe_pos], weights[safe_pos], size)
             safe_count = int(safe_pos.size)
         else:
             sums = totals
             safe_count = limit
         touched = np.flatnonzero(sums)
         if touched.size:
-            # Both bincount shapes produce integer sums (unweighted
-            # bincount returns intp; _exact_bincount returns int64).
             counts[touched] += sums[touched]
             self._mark_dirty_many(touched)
-            safe_weight = (
-                safe_count if ones else int(sums[touched].sum())
-            )
+            # Charged at the round's starting tree size: the holdout
+            # replay below runs after the scatter.
             self._stats.observe_batch(
-                safe_weight, safe_count, self._node_count
+                int(sums[touched].sum()), safe_count, self._node_count
             )
         holdouts = 0
         if hold_pos is not None and hold_pos.size:
             holdouts = int(hold_pos.size)
-            stats = self._stats
-            hold_values = varr[start + hold_pos].tolist()
-            hold_counts = (
-                None if ones else carr[start + hold_pos].tolist()
+            held_at = start + hold_pos
+            self._scalar_deposit(
+                varr[held_at].tolist(),
+                carr[held_at].tolist(),
+                arrivals[held_at].tolist(),
             )
-            # Events at each held item's arrival, computed in one
-            # vector op (the cut prefix through its predecessor).
-            if ones:
-                arrivals = (events_before + hold_pos).tolist()
-            else:
-                arrivals = np.where(
-                    hold_pos == 0,
-                    np.int64(events_before),
-                    events_before
-                    + cum_counts[start + hold_pos - 1]
-                    - base,
-                ).tolist()
-            # Replay loop: the same inline fast path as the object
-            # backend's extend kernel. A held item whose whole deposit
-            # fits its deepest cover at its arrival moment (an earlier
-            # holdout's split usually deepened the cover under it) is a
-            # one-store update — only true threshold/merge crossings
-            # take the full cascade. The finger search (_deepest_slot)
-            # resolves in ~O(1) because consecutive holdouts of one
-            # owner sit near each other. Fallbacks can split (growing
-            # and rebinding the column views) or merge (moving
-            # next_at), so the loop re-hoists its locals after each.
-            #
-            # Equal-value holdouts at *consecutive* window positions
-            # collapse into one counted deposit first: the cascade
-            # advances ``events`` per sub-deposit exactly as the object
-            # backend's per-item loop would (same thresholds at every
-            # intermediate total — this is the very equivalence
-            # ``add_counted`` is built on), and consecutiveness
-            # guarantees no other item's arrival lands in between. A
-            # camped stream's holdout storm becomes a handful of
-            # cascade calls instead of thousands.
-            positions_run = hold_pos.tolist()
-            deepest = self._deepest_slot
-            absorb = self._absorb_slot
-            scheduler = self._scheduler
-            eps_h = self._eps_over_height
-            min_th = self._min_threshold
-            next_at_now = scheduler.next_at
-            vcounts = self._v_counts
-            vitem = self._v_is_item
-            vdirty = self._v_dirty
-            vparents = self._v_parents
-            no_slot = _NO_SLOT
-            cap = self._capacity
-            pending_weight = 0
-            pending_updates = 0
-            i = 0
-            n_hold = holdouts
-            while i < n_hold:
-                value = hold_values[i]
-                evt = arrivals[i]
-                item_count = 1 if ones else hold_counts[i]
-                runs = 1
-                j = i + 1
-                while (
-                    j < n_hold
-                    and hold_values[j] == value
-                    and positions_run[j] == positions_run[j - 1] + 1
-                ):
-                    item_count += 1 if ones else hold_counts[j]
-                    runs += 1
-                    j += 1
-                i = j
-                slot = deepest(value)
-                landed = evt + item_count
-                if landed < next_at_now:
-                    c0 = vcounts[slot]
-                    if vitem[slot]:
-                        fits = True
-                    else:
-                        th = eps_h * landed
-                        if th < min_th:
-                            th = min_th
-                        # Python int vs float: exact at any magnitude.
-                        fits = c0 + item_count <= th
-                    if fits:
-                        vcounts[slot] = c0 + item_count
-                        pending_weight += item_count
-                        pending_updates += runs
-                        if not vdirty[slot]:
-                            walk = slot
-                            while walk != no_slot and not vdirty[walk]:
-                                vdirty[walk] = True
-                                walk = vparents[walk]
-                        continue
-                self._events = evt
-                absorb(slot, value, item_count)
-                stats.observe_update()
-                next_at_now = scheduler.next_at
-                if cap != self._capacity:
-                    cap = self._capacity
-                    vcounts = self._v_counts
-                    vitem = self._v_is_item
-                    vdirty = self._v_dirty
-                    vparents = self._v_parents
-            if pending_updates:
-                stats.observe_batch(
-                    pending_weight, pending_updates, self._node_count
-                )
         # The whole cut is absorbed; land events on the cut's end (the
-        # last holdout's cascade may have left it mid-window).
-        self._events = (
-            events_before + limit if ones else int(n_after[limit - 1])
-        )
+        # last holdout may have left it mid-window).
+        self._events = int(n_after[limit - 1])
         return start + limit, holdouts
 
     # ------------------------------------------------------------------

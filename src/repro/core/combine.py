@@ -158,10 +158,12 @@ def _check_compatible(
 def _add_at_range(tree: RapTree, lo: int, hi: int, count: int) -> None:
     """Add ``count`` onto the node for exactly ``[lo, hi]``.
 
-    Descends the deterministic partition from the root, materializing
-    the (at most ``log_b R``) missing siblings along the way; raises if
-    ``[lo, hi]`` is not a valid partition range of the universe (it
-    always is when the source is a compatible RAP tree).
+    Descends the deterministic partition from the root, bursting each
+    leaf on the way into all of its partition cells (at most ``log_b R``
+    levels); raises if ``[lo, hi]`` is not a valid partition range of
+    the universe (it always is when the source is a compatible RAP
+    tree). The destination only grows during a fold — it never merges —
+    so every inner node it holds carries its full set of cells.
     """
     node = tree.root
     branching = tree.config.branching
@@ -173,19 +175,9 @@ def _add_at_range(tree: RapTree, lo: int, hi: int, count: int) -> None:
                 created += 1
         child = node.child_covering(lo)
         if child is None or child.hi < hi:
-            # The target straddles a gap left by an earlier merge in the
-            # destination: materialize this node's partition cells too.
-            cells = partition_range(node.lo, node.hi, branching)
-            existing = {(kid.lo, kid.hi) for kid in node.children}
-            for cell in cells:
-                if cell not in existing:
-                    node.attach_child(RapNode(cell[0], cell[1]))
-                    created += 1
-            child = node.child_covering(lo)
-            if child is None or child.hi < hi:
-                raise ValueError(
-                    f"[{lo}, {hi}] is not a partition range of this universe"
-                )
+            raise ValueError(
+                f"[{lo}, {hi}] is not a partition range of this universe"
+            )
         node = child
     # Combination deposits a source tree's range weight wholesale; the
     # destination re-establishes conservation once every range lands.

@@ -25,14 +25,18 @@ Hot-path engineering (see "Performance notes" in ``DESIGN.md``):
   subtrees untouched since the previous pass carry cached weight
   aggregates that let the walk skip or wholesale-collapse them without
   visiting their nodes;
-* ``extend``/``add_batch`` keep per-event work in a tight local loop and
-  only drop into the general ``add`` path around splits and merges.
+* ``extend``/``add_counted``/``add_batch`` share one update loop
+  (:meth:`RapTree._deposit`, over counted pairs — a single event is a
+  pair of one) that keeps per-event work in a tight local loop and only
+  drops into the general ``add`` path around splits and merges.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .config import MergeScheduler, RapConfig, split_crossing_point
@@ -321,12 +325,12 @@ class RapTree:
         stats = self._stats
         while True:
             # Units until the merge trigger: smallest m with
-            # events + m >= next_at (merges are never left overdue, but
-            # guard to 1 so a stale schedule cannot wedge the loop).
+            # events + m >= next_at, i.e. m = ceil(next_at) - events in
+            # exact integers (a float subtraction rounds past 2**53).
+            # Merges are never left overdue, but guard to 1 so a stale
+            # schedule cannot wedge the loop.
             next_at = scheduler.next_at
-            m_merge = int(next_at - events)
-            if events + m_merge < next_at:
-                m_merge += 1
+            m_merge = math.ceil(next_at) - events
             if m_merge < 1:
                 m_merge = 1
             m = remaining if remaining < m_merge else m_merge
@@ -388,224 +392,48 @@ class RapTree:
     def extend(self, values: Iterable[int]) -> None:
         """Feed a stream of single events.
 
-        Runs a tight inline loop for the common case — the event lands in
-        the cached leaf, no split or merge is due — and falls back to the
-        full :meth:`add` path otherwise. Observably identical to calling
-        ``add`` per value; with timeline sampling or self-audits enabled
-        the per-event path is used outright so those hooks see every
-        event.
+        Observably identical to calling :meth:`add` per value: each
+        event is a counted pair of one, deposited by :meth:`_deposit`.
         """
-        if self._confined_ident is not None:
-            self._assert_owner()
-        stats = self._stats
-        add = self.add
-        if stats.sample_every > 0 or self._audit_every:
-            for value in values:
-                add(value)
-            return
-        root = self._root
-        root_hi = root.hi
-        eps_h = self._eps_over_height
-        min_th = self._min_threshold
-        scheduler = self._scheduler
-        events = self._events
-        next_at = scheduler.next_at
-        node_count = self._node_count
-        cache = self._cached_node
-        pending_events = 0
-        pending_updates = 0
-        try:
-            for value in values:
-                if 0 <= value <= root_hi:
-                    # Finger search: up from the last-hit node to a
-                    # covering ancestor, then the usual descent.
-                    node = cache
-                    if node is None:
-                        node = root
-                    else:
-                        while value < node.lo or node.hi < value:
-                            node = node.parent
-                    kids = node.children
-                    while kids:
-                        low, high = 0, len(kids) - 1
-                        found = None
-                        while low <= high:
-                            mid = (low + high) // 2
-                            kid = kids[mid]
-                            if value < kid.lo:
-                                high = mid - 1
-                            elif value > kid.hi:
-                                low = mid + 1
-                            else:
-                                found = kid
-                                break
-                        if found is None:
-                            break
-                        node = found
-                        kids = node.children
-                    n = events + 1
-                    if n < next_at:
-                        if node.lo == node.hi:
-                            fits = True
-                        else:
-                            threshold = eps_h * n
-                            if threshold < min_th:
-                                threshold = min_th
-                            fits = node.count + 1 <= threshold
-                        if fits:
-                            node.count += 1
-                            events = n
-                            cache = node
-                            pending_events += 1
-                            pending_updates += 1
-                            if not node.dirty:
-                                walker = node
-                                while walker is not None and not walker.dirty:
-                                    walker.dirty = True
-                                    walker = walker.parent
-                            continue
-                # Slow path (split or merge due, or out-of-universe value):
-                # sync deferred state, take the general add, then re-sync
-                # the loop-local mirrors.
-                self._events = events
-                self._cached_node = cache
-                if pending_events:
-                    stats.observe_batch(
-                        pending_events, pending_updates, node_count
-                    )
-                    pending_events = 0
-                    pending_updates = 0
-                add(value)
-                events = self._events
-                next_at = scheduler.next_at
-                node_count = self._node_count
-                cache = self._cached_node
-        finally:
-            self._events = events
-            self._cached_node = cache
-            if pending_events:
-                stats.observe_batch(pending_events, pending_updates, node_count)
-                self._generation += 1
+        self._deposit(zip(values, repeat(1)))
 
     def add_counted(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Feed pre-combined ``(value, count)`` pairs in order.
 
         This is the software analogue of the hardware event buffer that
         combines duplicate events before they reach the RAP engine
-        (Section 3.3, stage 0). Order is preserved; runs the same inline
-        fast path as :meth:`add_batch` minus the sort, so it is
-        observably identical to calling :meth:`add` per pair — which
-        also makes ``add_batch(pairs)`` and ``add_counted(sorted(pairs))``
-        interchangeable. For value-sorted batches prefer
-        :meth:`add_batch`, which shares descents between neighbouring
-        values.
+        (Section 3.3, stage 0). Order is preserved, and the result is
+        observably identical to calling :meth:`add` per pair.
         """
-        if self._confined_ident is not None:
-            self._assert_owner()
-        stats = self._stats
-        add = self.add
-        if stats.sample_every > 0 or self._audit_every:
-            for value, count in pairs:
-                add(value, count)
-            return
-        root = self._root
-        root_hi = root.hi
-        eps_h = self._eps_over_height
-        min_th = self._min_threshold
-        scheduler = self._scheduler
-        events = self._events
-        next_at = scheduler.next_at
-        node_count = self._node_count
-        cache = self._cached_node
-        pending_events = 0
-        pending_updates = 0
-        try:
-            for value, count in pairs:
-                if count > 0 and 0 <= value <= root_hi:
-                    node = cache
-                    if node is None:
-                        node = root
-                    else:
-                        while value < node.lo or node.hi < value:
-                            node = node.parent
-                    kids = node.children
-                    while kids:
-                        low, high = 0, len(kids) - 1
-                        found = None
-                        while low <= high:
-                            mid = (low + high) // 2
-                            kid = kids[mid]
-                            if value < kid.lo:
-                                high = mid - 1
-                            elif value > kid.hi:
-                                low = mid + 1
-                            else:
-                                found = kid
-                                break
-                        if found is None:
-                            break
-                        node = found
-                        kids = node.children
-                    n = events + count
-                    if n < next_at:
-                        if node.lo == node.hi:
-                            fits = True
-                        else:
-                            threshold = eps_h * n
-                            if threshold < min_th:
-                                threshold = min_th
-                            fits = node.count + count <= threshold
-                        if fits:
-                            node.count += count
-                            events = n
-                            cache = node
-                            pending_events += count
-                            pending_updates += 1
-                            if not node.dirty:
-                                walker = node
-                                while walker is not None and not walker.dirty:
-                                    walker.dirty = True
-                                    walker = walker.parent
-                            continue
-                self._events = events
-                self._cached_node = cache
-                if pending_events:
-                    stats.observe_batch(
-                        pending_events, pending_updates, node_count
-                    )
-                    pending_events = 0
-                    pending_updates = 0
-                add(value, count)
-                events = self._events
-                next_at = scheduler.next_at
-                node_count = self._node_count
-                cache = self._cached_node
-        finally:
-            self._events = events
-            self._cached_node = cache
-            if pending_events:
-                stats.observe_batch(pending_events, pending_updates, node_count)
-                self._generation += 1
+        self._deposit(pairs)
 
     def add_batch(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Feed ``(value, count)`` pairs, sorted once and routed in runs.
 
-        The batch kernel behind :meth:`add_stream`: pairs are sorted by
-        value so consecutive updates land in the same or a neighbouring
-        subtree, then each pair takes a tight inline path when it fits
-        entirely in the cached leaf below every threshold — splits,
-        merges and cache misses drop to the general :meth:`add` path,
-        whose finger search (:meth:`_locate`) re-routes through the
-        shared prefix instead of re-descending from the root. Observably
-        identical to ``add_counted(sorted(pairs))``.
+        The batch kernel behind :meth:`add_stream`: sorting by value
+        lands consecutive updates in the same or a neighbouring subtree,
+        so the finger search is a short hop through the shared prefix.
+        Observably identical to ``add_counted(sorted(pairs))``.
+        """
+        self._deposit(sorted(pairs))
+
+    def _deposit(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """The one update loop behind ``extend``/``add_counted``/``add_batch``.
+
+        Runs a tight inline loop for the common case — the pair lands in
+        the deepest covering node, below its split threshold, with no
+        merge due — and falls back to the full :meth:`add` path (splits,
+        merges, malformed pairs) otherwise. Observably identical to
+        calling ``add`` per pair; with timeline sampling or self-audits
+        enabled the per-pair path is used outright so those hooks see
+        every update.
         """
         if self._confined_ident is not None:
             self._assert_owner()
-        items = sorted(pairs)
         stats = self._stats
         add = self.add
         if stats.sample_every > 0 or self._audit_every:
-            for value, count in items:
+            for value, count in pairs:
                 add(value, count)
             return
         root = self._root
@@ -620,11 +448,10 @@ class RapTree:
         pending_events = 0
         pending_updates = 0
         try:
-            for value, count in items:
+            for value, count in pairs:
                 if count > 0 and 0 <= value <= root_hi:
-                    # Finger search from the previous pair's node: sorted
-                    # order makes this a short hop through the shared
-                    # prefix rather than a fresh root descent.
+                    # Finger search: up from the last-hit node to a
+                    # covering ancestor, then the usual descent.
                     node = cache
                     if node is None:
                         node = root
@@ -674,6 +501,9 @@ class RapTree:
                                     walker.dirty = True
                                     walker = walker.parent
                             continue
+                # Slow path (split or merge due, or a malformed pair):
+                # sync deferred state, take the general add, then re-sync
+                # the loop-local mirrors.
                 self._events = events
                 self._cached_node = cache
                 if pending_events:

@@ -20,7 +20,7 @@ Both offer a scalar path (``shard_of``) and a vectorized numpy path
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,31 +71,6 @@ class Partitioner:
                 list(zip(uniques.tolist(), counts.tolist()))
             )
         return combined
-
-    def split_counted_arrays(
-        self, values: np.ndarray
-    ) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
-        """Partition and duplicate-combine, staying array-shaped.
-
-        The array-native sibling of :meth:`split_counted`: per shard,
-        ``(uniques, counts)`` ndarrays (``None`` for an empty shard)
-        instead of a pair list. ``np.unique`` output is sorted
-        ascending, so feeding a frame to
-        ``ColumnarRapTree.add_counted_arrays`` is observably identical
-        to ``add_batch`` on the equivalent pairs. (The process executor
-        ships *raw* ``split`` frames instead and duplicate-combines
-        across frames in each worker's combining buffer — see
-        ``repro.runtime.worker`` — so this combined shape serves the
-        in-process paths and counted feeds.)
-        """
-        frames: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-        for part in self.split(values):
-            if len(part) == 0:
-                frames.append(None)
-                continue
-            uniques, counts = np.unique(part, return_counts=True)
-            frames.append((uniques, counts))
-        return frames
 
 
 class HashPartitioner(Partitioner):

@@ -727,7 +727,7 @@ class Profiler:
             # same per-event path a bare tree takes (and the honest
             # baseline the multi-shard benchmark compares against).
             tree = self._trees[0]
-            tree.extend(int(value) for value in chunk)
+            tree.extend(chunk.tolist())
             self._shard_events[0] += len(chunk)
             self._shard_batches[0] += 1
             return

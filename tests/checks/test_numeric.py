@@ -291,6 +291,8 @@ class TestHotspec:
     def test_catalog_covers_the_bench_hot_set(self):
         entries = dict(HOT_FUNCTIONS)
         assert "ColumnarRapTree._vector_round" in entries["core/columnar.py"]
+        assert "ColumnarRapTree._scalar_deposit" in entries["core/columnar.py"]
+        assert "RapTree._deposit" in entries["core/tree.py"]
         assert "TernaryCam.search_batch" in entries["hardware/tcam.py"]
         assert catalog() == tuple(
             (relpath, qualname)

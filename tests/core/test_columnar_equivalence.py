@@ -4,11 +4,13 @@ The columnar kernel (:mod:`repro.core.columnar`) promises *exact
 observational equivalence* with the object tree: identical operation
 sequences must produce byte-identical ``dump_tree`` output — same
 splits, same merge batches, same counters — for any workload shape.
-This sweep drives both backends through zipf/uniform/phased raw streams
-and pre-combined counted updates at eps ∈ {1e-2, 1e-3}, then checks
+This sweep drives both backends through zipf/uniform/phased/runs raw
+streams (lists and ndarrays), pre-combined counted updates at
+eps ∈ {1e-2, 1e-3} and malformed input, then checks
 
 * ``dump_tree`` identity (serialization-level equivalence),
-* event totals and merge-scheduler state,
+* event totals, merge-scheduler state and the ``TreeStats`` update
+  counts, merge points and peak node count,
 * ``check_invariants()`` on the columnar structure itself, and
 * a clean :class:`~repro.checks.audit.TreeAuditor` report on columnar.
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 import random
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.checks.audit import TreeAuditor
@@ -50,10 +53,21 @@ def phased_stream(rng: random.Random, n: int) -> list:
     return values
 
 
+def runs_stream(rng: random.Random, n: int) -> list:
+    """Each value repeated 1-64 times, so runs straddle split thresholds
+    and merge triggers."""
+    values = []
+    while len(values) < n:
+        base = int(rng.paretovariate(1.2)) % UNIVERSE
+        values.extend([base] * rng.randint(1, 64))
+    return values[:n]
+
+
 STREAMS = {
     "zipf": zipf_stream,
     "uniform": uniform_stream,
     "phased": phased_stream,
+    "runs": runs_stream,
 }
 
 
@@ -72,6 +86,9 @@ def both_trees(epsilon: float):
 
 def assert_equivalent(obj: RapTree, col: RapTree) -> None:
     assert obj.events == col.events
+    assert obj.stats.updates == col.stats.updates
+    assert obj.stats.merge_points == col.stats.merge_points
+    assert obj.stats.max_nodes == col.stats.max_nodes
     assert obj.node_count == col.node_count
     assert obj.merge_scheduler.next_at == col.merge_scheduler.next_at
     dump_obj, dump_col = dump_tree(obj), dump_tree(col)
@@ -90,6 +107,16 @@ class TestStreamEquivalence:
         rng = random.Random(stable_seed(workload, epsilon))
         values = STREAMS[workload](rng, 6_000)
         obj, col = both_trees(epsilon)
+        obj.extend(values)
+        col.extend(values)
+        assert_equivalent(obj, col)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    @pytest.mark.parametrize("workload", sorted(STREAMS))
+    def test_extend_ndarray_equivalence(self, workload, dtype):
+        rng = random.Random(stable_seed(workload, "ndarray"))
+        values = np.asarray(STREAMS[workload](rng, 6_000), dtype=dtype)
+        obj, col = both_trees(1e-2)
         obj.extend(values)
         col.extend(values)
         assert_equivalent(obj, col)
@@ -282,3 +309,92 @@ class TestExtremeCounts:
         col.add_counted(pairs)
         assert obj.events == 2**53
         assert_equivalent(obj, col)
+
+
+    def test_merge_boundary_exact_past_2_53(self):
+        """Counts near 2**57: the units left until the merge trigger are
+        computed in exact integers, so a counted add that runs up to the
+        trigger fires the merge instead of descending into an unsplit
+        leaf (a float subtraction there is off by up to 16 units)."""
+        obj, col = both_trees(1e-3)
+        for tree in (obj, col):
+            tree.add(5, 2**57)
+            tree.add(70_000, 2**57)
+        obj.check_invariants()
+        assert_equivalent(obj, col)
+
+
+BAD_ITEMS = {
+    "negative": (-1, 1),
+    "range_max": (UNIVERSE, 1),
+    "zero_count": (7, 0),
+}
+
+
+def outcome(call):
+    """The exception type ``call`` raises, or ``None``."""
+    try:
+        call()
+    except Exception as error:  # parity is on the exception type
+        return type(error)
+    return None
+
+
+class TestMalformedInputParity:
+    """A malformed item stops both backends at the same item.
+
+    Everything before it is ingested, the item itself raises the same
+    exception type, and the trees stay dump-identical after the catch.
+    """
+
+    def _pairs(self, bad: str, position: int) -> list:
+        rng = random.Random(stable_seed("malformed", bad, position))
+        pairs = [(value, rng.randint(1, 5)) for value in zipf_stream(rng, 5_000)]
+        pairs[position] = BAD_ITEMS[bad]
+        return pairs
+
+    def _check(self, feed_obj, feed_col, expect_error=True) -> None:
+        obj, col = both_trees(1e-2)
+        raised = outcome(lambda: feed_obj(obj))
+        assert outcome(lambda: feed_col(col)) is raised
+        assert (raised is not None) == expect_error
+        assert_equivalent(obj, col)
+
+    @pytest.mark.parametrize("position", [0, 10, 4_000])
+    @pytest.mark.parametrize("bad", ["negative", "range_max"])
+    def test_extend(self, bad, position):
+        values = [value for value, _ in self._pairs(bad, position)]
+        self._check(lambda t: t.extend(values), lambda t: t.extend(values))
+
+    @pytest.mark.parametrize("position", [0, 10, 4_000])
+    @pytest.mark.parametrize("bad", sorted(BAD_ITEMS))
+    @pytest.mark.parametrize("entry", ["add_counted", "add_batch"])
+    def test_counted_entries(self, entry, bad, position):
+        pairs = self._pairs(bad, position)
+        self._check(
+            lambda t: getattr(t, entry)(pairs), lambda t: getattr(t, entry)(pairs)
+        )
+
+    @pytest.mark.parametrize("position", [0, 10, 4_000])
+    @pytest.mark.parametrize("bad", sorted(BAD_ITEMS))
+    def test_counted_arrays(self, bad, position):
+        pairs = self._pairs(bad, position)
+        values = np.asarray([value for value, _ in pairs], dtype=np.int64)
+        counts = np.asarray([count for _, count in pairs], dtype=np.int64)
+        self._check(
+            lambda t: t.add_counted(pairs),
+            lambda t: t.add_counted_arrays(values, counts),
+        )
+
+    @pytest.mark.parametrize("position", [0, 10, 4_000])
+    def test_counted_arrays_past_int64(self, position):
+        """A uint64 count past int64 takes the exact per-item path."""
+        pairs = self._pairs("negative", position)
+        pairs[position] = (12_345, 2**63)
+        values = np.asarray([value for value, _ in pairs], dtype=np.uint64)
+        counts = np.asarray([count for _, count in pairs], dtype=np.uint64)
+        self._check(
+            lambda t: t.add_counted(pairs),
+            lambda t: t.add_counted_arrays(values, counts),
+            expect_error=False,
+        )

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from repro.baselines import ExactProfiler
 from repro.core import ColumnarRapTree, RapConfig, RapTree, dump_tree, load_tree
-from repro.core.combine import combine_many, combine_trees, split_stream_profile
+from repro.core.combine import (
+    _add_at_range,
+    combine_many,
+    combine_trees,
+    split_stream_profile,
+)
 from repro.core.node import partition_range
 
 UNIVERSE = 1024
@@ -74,6 +79,15 @@ class TestCombineTrees:
         combined = combine_trees(populated, empty)
         assert combined.events == populated.events
         assert combined.estimate(5, 5) >= populated.estimate(5, 5) - 1
+
+    def test_fold_deposit_rejects_a_non_partition_range(self):
+        destination = RapTree(RapConfig(range_max=UNIVERSE))
+        cell_lo, cell_hi = partition_range(0, UNIVERSE - 1, 4)[1]
+        _add_at_range(destination, cell_lo, cell_hi, 5)
+        assert destination.find_node(cell_lo, cell_hi).count == 5
+        for lo, hi in [(0, 600), (3, 300), (UNIVERSE, UNIVERSE)]:
+            with pytest.raises(ValueError, match="not a partition range"):
+                _add_at_range(destination, lo, hi, 1)
 
     def test_invariants_after_combine(self):
         first = tree_of([3] * 400)
