@@ -28,6 +28,8 @@ The production hot set mirrors the per-backend benchmark rows:
 * the columnar batch kernel: its one scalar deposit loop
   (``_scalar_deposit``), the vectorized rounds (``_vector_round``) and
   the batch entry points driving them,
+* the columnar structural check (``check_invariants``), which
+  ``combine_many`` runs on every snapshot fold,
 * the object backend's descent-cache fast paths (``_locate``, the one
   inline update loop ``_deposit`` and the ``extend``/``add_counted``/
   ``add_batch`` entry points feeding it),
@@ -51,6 +53,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
             "ColumnarRapTree.extend",
             "ColumnarRapTree.add_counted",
             "ColumnarRapTree.add_batch",
+            "ColumnarRapTree.check_invariants",
         }
     ),
     "core/tree.py": frozenset(

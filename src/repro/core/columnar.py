@@ -33,7 +33,8 @@ splits queue positioned-insert splices on ``_cov_pending`` (a split
 node's owned region is exactly its missing partition cells), and merge
 passes remap every segment to the nearest surviving ancestor of its old
 owner and coalesce equal-owner runs — no wholesale rebuild on either
-path. ``_rebuild_cover`` serves as the oracle that ``check_invariants``
+path. ``_rebuild_cover`` derives the index from the sibling chains in
+one vectorized pass; it serves as the oracle that ``check_invariants``
 compares against, and builds the index once, on first use, for a tree
 wrapped by ``attach_columns``.
 
@@ -91,6 +92,30 @@ the vectorized scatter) instead of wrapping (the object backend's
 Python ints keep going; the paper's ``n`` sits far below either
 bound).
 
+Validation: ``check_invariants`` (which ``combine_many`` runs on every
+snapshot fold) checks the whole structural contract on the columns,
+with no node view and no per-slot Python loop:
+
+* slot accounting — the root (slot 0) is live, ``node_count`` slots are
+  live, and the free stack holds every other allocated slot once, each
+  with a zero count and no item flag;
+* links — each live non-root slot has a live parent one level up and
+  exactly one incoming chain pointer (its parent's ``first_child`` or a
+  same-parent sibling's ``next_sibling``); ``lo`` strictly increases
+  along a chain; ``n_children`` counts the children;
+* geometry — ``lo <= hi``, ``is_item`` is ``lo == hi``, items have no
+  children, and every child is a cell of its parent's partition;
+* conservation — counts are non-negative and sum exactly to ``events``;
+* merge caches — a clean node has no dirty child and caches its exact
+  subtree weight and minimum;
+* the cover index equals the ``_rebuild_cover`` derivation.
+
+The link checks are why no reachability walk is needed: walking a live
+slot's incoming pointers backwards stays under one parent with ``lo``
+strictly decreasing, so it ends at that parent's ``first_child``, and the
+parent is live and one level shallower — repeating reaches the root. So
+the live set is exactly the set reachable from the root.
+
 Construct through ``RapTree.from_config(RapConfig(backend="columnar"))``
 — importing this module's internals elsewhere is flagged by RAP-LINT012.
 """
@@ -98,6 +123,7 @@ Construct through ``RapTree.from_config(RapConfig(backend="columnar"))``
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from array import array
@@ -108,6 +134,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -189,6 +216,64 @@ def _int_column(items, typecode: str) -> np.ndarray:
         except (OverflowError, TypeError):
             pass
     return np.asarray(items)
+
+
+def _level_order(levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions grouped by level: ``(order, bounds)``.
+
+    ``order[bounds[d] : bounds[d + 1]]`` are the positions of ``levels``
+    equal to ``d`` (ascending within a level); ``bounds`` runs one entry
+    past the deepest level, so ``bounds.size - 2`` is the maximum level.
+    ``levels`` must be non-empty and non-negative.
+    """
+    order = np.argsort(levels, kind="stable")
+    ordered = levels[order]
+    bounds = np.searchsorted(ordered, np.arange(int(ordered[-1]) + 2))
+    return order, bounds
+
+
+def _cell_geometry(
+    lo: np.ndarray, hi: np.ndarray, branching: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized :func:`~repro.core.node.partition_range` shape.
+
+    Returns ``(cells, base, extra)`` per uint64 range ``[lo, hi]``:
+    ``cells = min(b, width)`` cells of width ``base``, the first
+    ``extra`` of them one wider. The width itself (2**64 at a 64-bit
+    root) may not fit uint64, so everything derives from
+    ``span = hi - lo``.
+    """
+    one = np.uint64(1)
+    span = hi - lo
+    cells = np.minimum(span, np.uint64(branching - 1)) + one
+    rem = span % cells + one
+    return cells, span // cells + rem // cells, rem % cells
+
+
+def _cell_bounds(
+    lo: np.ndarray, base: np.ndarray, extra: np.ndarray, index: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Closed bounds of cell ``index`` of each range (see ``_cell_geometry``).
+
+    Broadcasts, so a column of ranges against a row of indices yields
+    every cell of every range at once.
+    """
+    start = lo + index * base + np.minimum(index, extra)
+    return start, start + (base - np.uint64(1)) + (index < extra)
+
+
+class _Preorder(NamedTuple):
+    """Live nodes as preorder rows (see ``ColumnarRapTree._preorder``)."""
+
+    slots: np.ndarray  # slot of each row
+    los: np.ndarray
+    his: np.ndarray
+    depth: np.ndarray
+    counts: np.ndarray
+    inclusive: np.ndarray  # subtree weight of each row
+    parent_row: np.ndarray  # row of each row's parent (meaningless at row 0)
+    by_level: np.ndarray  # rows grouped by depth (see _level_order)
+    level_bounds: np.ndarray
 
 
 #: Per-slot columns, grown together (see _grow). ``_free_slots`` rides
@@ -510,38 +595,43 @@ class ColumnarRapTree:
 
         The incremental splices (split inserts in ``_sync_cover``, the
         merge remap in ``_merge_frontier``) keep the live index equal to
-        this recursive emission; ``check_invariants`` asserts exactly
-        that, so this is the oracle, not a maintenance path. Its one
-        other caller builds the index of an attached tree on first use.
+        this derivation; ``check_invariants`` asserts exactly that, so
+        this is the oracle, not a maintenance path. Its one other caller
+        builds the index of an attached tree on first use.
+
+        A node owns the parts of its range no child covers: its first
+        value unless its first child starts there, and the value after
+        each child unless the next sibling (or, after the last child,
+        the end of the node's own range) starts there. Those gap starts,
+        in value order, are the segments.
         """
-        starts: List[int] = []
-        owners: List[int] = []
-        # Plain-list mirrors of the columns: one C-speed conversion each,
-        # then the per-node walk runs on native ints instead of paying a
-        # numpy scalar extraction per field per node. The walk itself is
-        # the recursive emission unrolled onto an explicit stack of
-        # (slot, resume position, next child) frames, so arbitrarily deep
-        # trees cannot hit the interpreter recursion limit either.
-        los = self._los.tolist()
-        his = self._his.tolist()
-        first_child = self._first_child.tolist()
-        next_sibling = self._next_sibling.tolist()
-        stack = [(0, los[0], first_child[0])]
-        while stack:
-            slot, position, child = stack.pop()
-            while child != _NO_SLOT:
-                if los[child] > position:
-                    starts.append(position)
-                    owners.append(slot)
-                stack.append((slot, his[child] + 1, next_sibling[child]))
-                slot = child
-                position = los[slot]
-                child = first_child[slot]
-            if position <= his[slot]:
-                starts.append(position)
-                owners.append(slot)
-        self._cov_starts = np.array(starts, dtype=np.uint64)
-        self._cov_owner = np.array(owners, dtype=np.int64)
+        size = self._size
+        los = self._los
+        his = self._his
+        live_idx = np.flatnonzero(self._live[:size])
+        heads = self._first_child[live_idx]
+        leading = heads == _NO_SLOT
+        linked = ~leading
+        leading[linked] = los[heads[linked]] > los[live_idx[linked]]
+        kids = live_idx[live_idx != 0]
+        after = self._next_sibling[kids]
+        up = self._parents[kids]
+        # Last value the child's gap may run to; ``after`` is -1 where
+        # the parent's range ends first (that lane's sibling read is
+        # discarded).
+        bound = np.where(
+            after == _NO_SLOT, his[up], los[after] - np.uint64(1)
+        )
+        trailing = his[kids] < bound
+        starts = np.concatenate(
+            (los[live_idx[leading]], his[kids[trailing]] + np.uint64(1))
+        )
+        owners = np.concatenate(
+            (live_idx[leading], up[trailing].astype(np.int64))
+        )
+        order = np.argsort(starts, kind="stable")
+        self._cov_starts = starts[order]
+        self._cov_owner = owners[order]
 
     def _sync_cover(self) -> None:
         """Fold queued split splices into the cover index.
@@ -841,7 +931,6 @@ class ColumnarRapTree:
         fold's (already reconciled) configuration; the shards must share
         its universe and branching factor.
         """
-        branching = np.uint64(config.branching)
         root_hi = config.range_max - 1
         anc_parts: List[Tuple[np.ndarray, ...]] = []
         dep_parts: List[Tuple[np.ndarray, ...]] = []
@@ -855,12 +944,8 @@ class ColumnarRapTree:
                 continue
             parents = shard._parents
             live_idx = np.flatnonzero(live)
-            levels = shard._depth[live_idx]
-            order = np.argsort(levels, kind="stable")
+            order, bounds = _level_order(shard._depth[live_idx])
             by_depth = live_idx[order]
-            bounds = np.searchsorted(
-                levels[order], np.arange(int(levels[order[-1]]) + 2)
-            )
             # ``needed``: a deposit or an ancestor of one (closed upward).
             needed = deposits.copy()
             internal = np.zeros(size, dtype=np.bool_)
@@ -903,30 +988,19 @@ class ColumnarRapTree:
             anc_depth[1:] != anc_depth[:-1]
         )
         anc_depth, anc_lo, anc_hi = anc_depth[keep], anc_lo[keep], anc_hi[keep]
-        # Vectorized partition_range: cells_n = min(b, width) cells of
-        # width ``base``, the first ``extra`` one wider. The width itself
-        # (2**64 at a 64-bit root) may not fit uint64, so everything is
-        # derived from ``span = width - 1``.
-        one = np.uint64(1)
-        span = anc_hi - anc_lo
-        cells_n = np.minimum(span, branching - one) + one
-        quot = span // cells_n
-        rem = span % cells_n + one
-        base = quot + rem // cells_n
-        extra = rem % cells_n
+        # Every cell of every ancestor: a column of ranges against a row
+        # of cell indices, masked to each range's cell count.
+        cells_n, base, extra = _cell_geometry(
+            anc_lo, anc_hi, config.branching
+        )
         index = np.arange(config.branching, dtype=np.uint64)[None, :]
         valid = index < cells_n[:, None]
-        cell_lo = (
-            anc_lo[:, None]
-            + index * base[:, None]
-            + np.minimum(index, extra[:, None])
-        )[valid]
-        per_cell = cells_n.astype(np.int64)
-        cell_hi = cell_lo + (
-            base.repeat(per_cell)
-            - one
-            + (index < extra[:, None])[valid].astype(np.uint64)
+        cell_lo, cell_hi = _cell_bounds(
+            anc_lo[:, None], base[:, None], extra[:, None], index
         )
+        cell_lo = cell_lo[valid]
+        cell_hi = cell_hi[valid]
+        per_cell = cells_n.astype(np.int64)
         # Ancestors are sorted by (depth, lo) and each one's cells come
         # out in lo order, so root + cells is already (depth, lo) order.
         n = int(cell_lo.size) + 1
@@ -1001,10 +1075,14 @@ class ColumnarRapTree:
 
         Arithmetic-identical to :meth:`repro.core.tree.RapTree.add`:
         same closed-form split crossing points, same mid-count merge
-        triggers, same descent semantics.
+        triggers, same descent semantics. A non-integral ``value`` or
+        ``count`` (``5.5``, NaN, a float array's item) raises
+        ``TypeError``, as on the object backend.
         """
         if self._confined_ident is not None:
             self._assert_owner()
+        value = operator.index(value)
+        count = operator.index(count)
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
         if value < 0 or value > self._root_hi:
@@ -1347,9 +1425,8 @@ class ColumnarRapTree:
         bursts = 0
         # Cover segments, collected level by level as the build walks
         # down: a leaf's whole range, and each burst parent's runs of
-        # empty cells (cell-aligned by construction). One argsort at
-        # the end replaces the per-node recursive emission of
-        # ``_rebuild_cover`` — which stays the oracle this collection
+        # empty cells (cell-aligned by construction), sorted once at
+        # the end. ``_rebuild_cover`` stays the oracle this collection
         # is checked against (``check_invariants``).
         cover_start_parts: List[np.ndarray] = []
         cover_owner_parts: List[np.ndarray] = []
@@ -1434,18 +1511,13 @@ class ColumnarRapTree:
                 p_phi = sel_phi[recurse]
                 # One vectorized burst per surviving parent: the exact
                 # partition_range geometry, computed for all parents at
-                # once (cells = min(b, width), base + spread remainder).
-                width = p_hi - p_lo + np.uint64(1)
-                cells_n = np.minimum(
-                    width, np.uint64(branching)
-                ).astype(np.int64)
-                base = width // cells_n.astype(np.uint64)
-                extra = width - base * cells_n.astype(np.uint64)
+                # once. Columns past a narrow parent's cell count come
+                # out as garbage cells; the masks below drop them.
+                cells_u, base, extra = _cell_geometry(p_lo, p_hi, branching)
+                cells_n = cells_u.astype(np.int64)
                 j = np.arange(branching, dtype=np.uint64)[None, :]
-                starts = (
-                    p_lo[:, None]
-                    + j * base[:, None]
-                    + np.minimum(j, extra[:, None])
+                starts, ends = _cell_bounds(
+                    p_lo[:, None], base[:, None], extra[:, None], j
                 )
                 idx = np.empty(
                     (starts.shape[0], branching + 1), dtype=np.int64
@@ -1464,12 +1536,6 @@ class ColumnarRapTree:
                         idx[:, 1:-1][short] = np.broadcast_to(
                             p_phi[:, None], short.shape
                         )[short]
-                ends = np.empty_like(starts)
-                ends[:, :-1] = starts[:, 1:] - np.uint64(1)
-                ends[:, -1] = p_hi
-                narrow = np.flatnonzero(cells_n < branching)
-                if narrow.size:
-                    ends[narrow, cells_n[narrow] - 1] = p_hi[narrow]
                 mass = cum[idx[:, 1:]] - cum[idx[:, :-1]]
                 nonzero = mass > 0
                 # Parent-owned segments: runs of empty *valid* cells
@@ -2089,12 +2155,9 @@ class ColumnarRapTree:
         live = self._live
         live_idx = np.flatnonzero(live[:size])
         visited = int(live_idx.size)
-        levels = self._depth[live_idx]
-        order = np.argsort(levels, kind="stable")
+        order, bounds = _level_order(self._depth[live_idx])
         by_depth = live_idx[order]
-        level_of = levels[order]
-        max_depth = int(level_of[-1])
-        bounds = np.searchsorted(level_of, np.arange(max_depth + 2))
+        max_depth = bounds.size - 2
         # Subtree weights, bottom-up by level. ``np.add.at`` is an
         # unbuffered indexed add straight in int64 — exact at any
         # magnitude (the float64-splitting ``_exact_bincount`` is only
@@ -2366,59 +2429,74 @@ class ColumnarRapTree:
         sort by weight produces the identical final order, ties and all.
 
         Everything runs on the *compacted* live set (``node_count``
-        rows), not the slot space: inclusive weights come from one
-        int64 prefix sum over the preorder layout (a subtree is a
-        contiguous preorder run — laminar family, siblings disjoint —
-        whose end is the first later position with ``lo > hi``), and
-        the exclusive fold walks levels through a compact parent-
-        position map with ``np.add.at``. Cost is O(n log n) in the
-        live node count, independent of tree depth and slot capacity.
+        rows, see :meth:`_preorder`), not the slot space: inclusive
+        weights are the preorder prefix sums, and the exclusive fold
+        walks levels through the compact parent-row map with
+        ``np.add.at``. Cost is O(n log n) in the live node count,
+        independent of tree depth and slot capacity.
         """
-        size = self._size
-        live_idx = np.flatnonzero(self._live[:size])
-        n = int(live_idx.size)
-        depth = self._depth[live_idx]
-        # Preorder: lo ascending, ancestors (shallower) before equal-lo
-        # descendants.
-        order = np.lexsort((depth, self._los[live_idx]))
-        slots = live_idx[order]
-        pre_los = self._los[slots]
-        pre_his = self._his[slots]
-        pre_depth = depth[order]
-        pre_counts = self._counts[slots]
-        csum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(pre_counts, out=csum[1:])
-        ends = np.searchsorted(pre_los, pre_his, side="right")
-        inclusive = csum[ends] - csum[:n]
+        pre = self._preorder(np.flatnonzero(self._live[: self._size]))
         cut_m1 = min(math.ceil(cutoff) - 1, _INT64_MAX)
         # Exclusive fold, bottom-up by level: a child below the cutoff
         # donates its (already folded) weight to its parent. np.add.at
         # accumulates duplicates exactly in int64.
-        pos_of = np.empty(size, dtype=np.int64)
-        pos_of[slots] = np.arange(n, dtype=np.int64)
-        parent_pos = pos_of[self._parents[slots]]
-        by_depth = np.argsort(pre_depth, kind="stable")
-        level_of = pre_depth[by_depth]
-        max_depth = int(level_of[-1]) if n else 0
-        bounds = np.searchsorted(level_of, np.arange(max_depth + 2))
-        exclusive = pre_counts.astype(np.int64, copy=True)
-        for level in range(max_depth, 0, -1):
-            rows = by_depth[bounds[level] : bounds[level + 1]]
+        exclusive = pre.counts.astype(np.int64, copy=True)
+        bounds = pre.level_bounds
+        for level in range(bounds.size - 2, 0, -1):
+            rows = pre.by_level[bounds[level] : bounds[level + 1]]
             cold = rows[exclusive[rows] <= cut_m1]
-            np.add.at(exclusive, parent_pos[cold], exclusive[cold])
+            np.add.at(exclusive, pre.parent_row[cold], exclusive[cold])
         hot_rows = np.flatnonzero(exclusive > cut_m1)
         if not hot_rows.size:
             return []
-        post = np.lexsort((-pre_depth[hot_rows], pre_his[hot_rows]))
+        post = np.lexsort((-pre.depth[hot_rows], pre.his[hot_rows]))
         hot_rows = hot_rows[post]
         return list(
             zip(
-                pre_los[hot_rows].tolist(),
-                pre_his[hot_rows].tolist(),
+                pre.los[hot_rows].tolist(),
+                pre.his[hot_rows].tolist(),
                 exclusive[hot_rows].tolist(),
-                inclusive[hot_rows].tolist(),
-                pre_depth[hot_rows].tolist(),
+                pre.inclusive[hot_rows].tolist(),
+                pre.depth[hot_rows].tolist(),
             )
+        )
+
+    def _preorder(self, live_idx: np.ndarray, dtype=np.int64) -> _Preorder:
+        """The live slots ``live_idx`` as rows in preorder.
+
+        Preorder is ``lo`` ascending, ancestors (shallower) before
+        equal-``lo`` descendants. Over a laminar range family (children
+        are disjoint cells of their parent) a subtree is a contiguous
+        preorder run, ending at the first later row with ``lo > hi``,
+        so subtree weights are differences of one prefix sum of the
+        counts, accumulated in ``dtype``. The caller picks a ``dtype``
+        that holds every subtree weight: int64 once the weights are
+        known to fit it, ``object`` (exact Python ints) otherwise.
+        """
+        depth = self._depth[live_idx]
+        order = np.lexsort((depth, self._los[live_idx]))
+        slots = live_idx[order]
+        los = self._los[slots]
+        his = self._his[slots]
+        counts = self._counts[slots]
+        n = int(slots.size)
+        csum = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(counts.astype(dtype, copy=False), out=csum[1:])
+        ends = np.searchsorted(los, his, side="right")
+        row_of = np.empty(self._size, dtype=np.int64)
+        row_of[slots] = np.arange(n, dtype=np.int64)
+        depth = depth[order]
+        by_level, level_bounds = _level_order(depth)
+        return _Preorder(
+            slots=slots,
+            los=los,
+            his=his,
+            depth=depth,
+            counts=counts,
+            inclusive=csum[ends] - csum[:n],
+            parent_row=row_of[self._parents[slots]],
+            by_level=by_level,
+            level_bounds=level_bounds,
         )
 
     # ------------------------------------------------------------------
@@ -2486,58 +2564,200 @@ class ColumnarRapTree:
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` on any broken structural invariant.
 
-        Runs the object backend's full check against the materialized
-        view (geometry, conservation, parent pointers, merge-cache
-        coherence), then audits the columnar bookkeeping itself: the
-        free stack, the live/depth columns, the recycled-slot resets
-        and the incrementally-spliced cover index (compared against a
-        from-scratch rebuild).
+        Checks the object backend's contract plus the columnar
+        bookkeeping, on the columns themselves — no node view, no
+        per-slot Python loop (only loops over tree levels):
+
+        * slot accounting: the root (slot 0, ``[0, range_max - 1]``,
+          depth 0, no parent) is live, ``node_count`` slots are live,
+          and the free stack holds every other allocated slot exactly
+          once, each with a zero count and no item flag;
+        * links: every live non-root slot has a live parent exactly one
+          level up and is linked exactly once — by its parent's
+          ``first_child`` or by a same-parent sibling's
+          ``next_sibling`` — with ``lo`` strictly increasing along each
+          chain (sorted, disjoint siblings); ``n_children`` is the
+          number of children;
+        * geometry: ``lo <= hi``, the item flag is ``lo == hi``, items
+          have no children, and every child is a cell of its parent's
+          ``partition_range`` (the uint64-safe ``_cell_geometry``);
+        * conservation: counts are non-negative and sum exactly to
+          ``events`` (32-bit halves, so the int64 sums cannot wrap);
+        * merge caches: a clean node has no dirty child, and caches its
+          subtree weight and the minimum subtree weight below it
+          exactly;
+        * the cover index equals the ``_rebuild_cover`` derivation.
+
+        The link checks make the live set the reachable set, so no walk
+        is needed. Follow a live slot's one incoming link backwards: it
+        stays under the same parent with ``lo`` strictly decreasing, so
+        it ends at the parent's ``first_child``. The parent is live and
+        one level shallower, so repeating that reaches the root. Each
+        chain therefore holds exactly its parent's children, and the
+        chains together hold every live slot once. Subtree weights use
+        the preorder prefix sums of :meth:`_preorder`: in int64 once
+        non-negative counts and conservation bound every subtree by
+        ``events <= 2**63 - 1``, in exact Python ints beyond that.
         """
-        from .tree import RapTree
-
-        probe = RapTree(self._config)
-        probe._events = self._events  # noqa: SLF001 - borrowed checker
-        probe._node_count = self._node_count  # noqa: SLF001 - borrowed checker
-        probe._root = self._materialize()  # noqa: SLF001 - borrowed checker
-        probe.check_invariants()
-
         size = self._size
-        live_slots = [slot for slot in range(size) if self._live[slot]]
-        assert len(live_slots) == self._node_count, (
-            f"live column counts {len(live_slots)} slots, "
+        live = self._live[:size]
+        live_idx = np.flatnonzero(live)
+        assert live[0], "root slot 0 is not live"
+        assert live_idx.size == self._node_count, (
+            f"live column counts {live_idx.size} slots, "
             f"node_count says {self._node_count}"
         )
-        free_list = self._free_slots[: self._free_top].tolist()
-        free_set = set(free_list)
-        assert len(free_set) == len(free_list), "free stack has duplicates"
-        assert len(free_set) + len(live_slots) == size, (
+        los = self._los
+        his = self._his
+        parents = self._parents
+        depth = self._depth
+        assert (
+            parents[0] == _NO_SLOT
+            and depth[0] == 0
+            and los[0] == 0
+            and his[0] == self._root_hi
+        ), "root must be [0, range_max - 1] at depth 0 with no parent"
+
+        free = self._free_slots[: self._free_top]
+        assert ((free >= 0) & (free < size)).all(), (
+            "free stack holds a slot outside the allocated prefix"
+        )
+        assert np.bincount(free, minlength=1).max() <= 1, (
+            "free stack has duplicates"
+        )
+        assert free.size + live_idx.size == size, (
             "free stack and live column disagree on slot accounting"
         )
-        for slot in free_list:
-            assert not self._live[slot], f"free slot {slot} is still live"
-            assert self._counts[slot] == 0, (
-                f"free slot {slot} holds a nonzero count"
-            )
-            assert not self._is_item[slot], (
-                f"free slot {slot} still flagged as an item"
-            )
-        assert int(self._depth[0]) == 0, "root depth must be 0"
-        for slot in live_slots:
-            kids = self._children_slots(slot)
-            assert self._n_children[slot] == len(kids), (
-                f"slot {slot} chain length != n_children"
-            )
-            assert bool(self._is_item[slot]) == (
-                self._los[slot] == self._his[slot]
-            ), f"slot {slot} item flag disagrees with its bounds"
-            for kid in kids:
-                assert self._live[kid], f"dead child {kid} in chain of {slot}"
-                assert self._parents[kid] == slot, (
-                    f"child {kid} has wrong parent pointer"
-                )
-                assert self._depth[kid] == self._depth[slot] + 1, (
-                    f"child {kid} depth disagrees with parent {slot}"
-                )
+        bad = live[free]
+        assert not bad.any(), f"free slot {free[bad][0]} is still live"
+        bad = self._counts[free] != 0
+        assert not bad.any(), f"free slot {free[bad][0]} holds a nonzero count"
+        bad = self._is_item[free]
+        assert not bad.any(), (
+            f"free slot {free[bad][0]} still flagged as an item"
+        )
+
+        # Links. ``kids`` is every live non-root slot (slot 0 sorts first).
+        kids = live_idx[1:]
+        up = parents[kids]
+        bad = (up < 0) | (up >= size)
+        assert not bad.any(), f"slot {kids[bad][0]} has no parent"
+        bad = ~live[up] | (depth[kids] != depth[up] + 1)
+        assert not bad.any(), (
+            f"child {kids[bad][0]} depth disagrees with its live parent"
+        )
+        heads = self._first_child[live_idx]
+        after = self._next_sibling[kids]
+        has_head = heads != _NO_SLOT
+        has_after = after != _NO_SLOT
+        targets = np.concatenate((heads[has_head], after[has_after]))
+        assert ((targets >= 0) & (targets < size)).all(), (
+            "sibling chain points outside the allocated prefix"
+        )
+        linked = np.bincount(targets, minlength=size)
+        expected = live.astype(np.int64)
+        expected[0] = 0
+        assert np.array_equal(linked, expected), (
+            "sibling chains must link every live non-root slot exactly "
+            "once and nothing else"
+        )
+        bad = parents[heads[has_head]] != live_idx[has_head]
+        assert not bad.any(), (
+            f"child {heads[has_head][bad][0]} has wrong parent pointer"
+        )
+        prev = kids[has_after]
+        succ = after[has_after]
+        bad = parents[succ] != parents[prev]
+        assert not bad.any(), (
+            f"child {succ[bad][0]} has wrong parent pointer"
+        )
+        bad = los[succ] <= his[prev]
+        assert not bad.any(), (
+            f"children overlap/unsorted at slot {succ[bad][0]}"
+        )
+        bad = self._n_children[live_idx] != np.bincount(
+            up, minlength=size
+        )[live_idx]
+        assert not bad.any(), (
+            f"slot {live_idx[bad][0]} chain length != n_children"
+        )
+
+        # Geometry.
+        node_lo = los[live_idx]
+        node_hi = his[live_idx]
+        bad = node_lo > node_hi
+        assert not bad.any(), f"empty range at slot {live_idx[bad][0]}"
+        bad = self._is_item[live_idx] != (node_lo == node_hi)
+        assert not bad.any(), (
+            f"slot {live_idx[bad][0]} item flag disagrees with its bounds"
+        )
+        up_lo = los[up]
+        up_hi = his[up]
+        kid_lo = los[kids]
+        kid_hi = his[kids]
+        bad = up_lo == up_hi
+        assert not bad.any(), f"item slot {up[bad][0]} has children"
+        # The cell holding each child's ``lo``: the first ``extra``
+        # cells are ``base + 1`` wide, the rest ``base``. Lanes whose
+        # child leaves the parent's range compute garbage and are
+        # rejected by the range test.
+        _, base, extra = _cell_geometry(up_lo, up_hi, self._config.branching)
+        one = np.uint64(1)
+        offset = kid_lo - up_lo
+        wide = extra * (base + one)
+        index = np.where(
+            offset < wide,
+            offset // (base + one),
+            extra + (offset - wide) // base,
+        )
+        cell_lo, cell_hi = _cell_bounds(up_lo, base, extra, index)
+        bad = (
+            (kid_lo < up_lo)
+            | (kid_hi > up_hi)
+            | (cell_lo != kid_lo)
+            | (cell_hi != kid_hi)
+        )
+        assert not bad.any(), (
+            f"child [{kid_lo[bad][0]}, {kid_hi[bad][0]}] is not a "
+            f"partition cell of [{up_lo[bad][0]}, {up_hi[bad][0]}]"
+        )
+
+        # Conservation, exact: each 32-bit half sums without wrapping.
+        counts = self._counts[live_idx]
+        bad = counts < 0
+        assert not bad.any(), f"negative counter at slot {live_idx[bad][0]}"
+        weight = int((counts & _LOW32).sum())
+        weight += int((counts >> 32).sum()) << 32
+        assert weight == self._events, (
+            f"tree weight {weight} != events {self._events}"
+        )
+
+        # Merge caches, over the preorder rows.
+        pre = self._preorder(
+            live_idx, np.int64 if self._events <= _INT64_MAX else object
+        )
+        minima = pre.inclusive.copy()
+        bounds = pre.level_bounds
+        for level in range(bounds.size - 2, 0, -1):
+            rows = pre.by_level[bounds[level] : bounds[level + 1]]
+            np.minimum.at(minima, pre.parent_row[rows], minima[rows])
+        clean = ~self._dirty[pre.slots]
+        bad = clean[pre.parent_row[1:]] & ~clean[1:]
+        assert not bad.any(), (
+            f"clean node has dirty child at slot {pre.slots[1:][bad][0]}"
+        )
+        bad = clean & (self._cached_weight[pre.slots] != pre.inclusive)
+        assert not bad.any(), (
+            f"clean slot {pre.slots[bad][0]} caches weight "
+            f"{self._cached_weight[pre.slots][bad][0]} "
+            f"!= actual {pre.inclusive[bad][0]}"
+        )
+        bad = clean & (self._cached_min[pre.slots] != minima)
+        assert not bad.any(), (
+            f"clean slot {pre.slots[bad][0]} caches min "
+            f"{self._cached_min[pre.slots][bad][0]} != actual {minima[bad][0]}"
+        )
+
         self._sync_cover()
         expected_starts = self._cov_starts
         expected_owner = self._cov_owner

@@ -34,10 +34,13 @@ Hot-path engineering (see "Performance notes" in ``DESIGN.md``):
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .config import MergeScheduler, RapConfig, split_crossing_point
 from .node import RapNode, partition_range
@@ -248,9 +251,16 @@ class RapTree:
         (Section 3.3, stage 0). This keeps combined updates equivalent to
         one-at-a-time arrival, so buffering does not degrade the
         summarization accuracy.
+
+        ``value`` and ``count`` must be integers (anything with
+        ``__index__``): ``5.5`` or NaN raises ``TypeError``, so neither
+        a fractional counter nor an unroutable value ever enters the
+        tree.
         """
         if self._confined_ident is not None:
             self._assert_owner()
+        value = operator.index(value)
+        count = operator.index(count)
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
         root = self._root
@@ -394,7 +404,11 @@ class RapTree:
 
         Observably identical to calling :meth:`add` per value: each
         event is a counted pair of one, deposited by :meth:`_deposit`.
+        An integer ndarray is converted to Python ints once, up front,
+        so its events take the inline path.
         """
+        if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+            values = values.tolist()
         self._deposit(zip(values, repeat(1)))
 
     def add_counted(self, pairs: Iterable[Tuple[int, int]]) -> None:
@@ -423,7 +437,8 @@ class RapTree:
         Runs a tight inline loop for the common case — the pair lands in
         the deepest covering node, below its split threshold, with no
         merge due — and falls back to the full :meth:`add` path (splits,
-        merges, malformed pairs) otherwise. Observably identical to
+        merges, malformed pairs, anything but plain ``int`` values and
+        counts) otherwise. Observably identical to
         calling ``add`` per pair; with timeline sampling or self-audits
         enabled the per-pair path is used outright so those hooks see
         every update.
@@ -449,7 +464,12 @@ class RapTree:
         pending_updates = 0
         try:
             for value, count in pairs:
-                if count > 0 and 0 <= value <= root_hi:
+                if (
+                    type(value) is int
+                    and type(count) is int
+                    and count > 0
+                    and 0 <= value <= root_hi
+                ):
                     # Finger search: up from the last-hit node to a
                     # covering ancestor, then the usual descent.
                     node = cache

@@ -292,6 +292,7 @@ class TestHotspec:
         entries = dict(HOT_FUNCTIONS)
         assert "ColumnarRapTree._vector_round" in entries["core/columnar.py"]
         assert "ColumnarRapTree._scalar_deposit" in entries["core/columnar.py"]
+        assert "ColumnarRapTree.check_invariants" in entries["core/columnar.py"]
         assert "RapTree._deposit" in entries["core/tree.py"]
         assert "TernaryCam.search_batch" in entries["hardware/tcam.py"]
         assert catalog() == tuple(

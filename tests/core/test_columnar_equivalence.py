@@ -21,6 +21,7 @@ the chain back to the oracle.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 
@@ -330,6 +331,18 @@ BAD_ITEMS = {
     "zero_count": (7, 0),
 }
 
+# Non-integral items: each must raise TypeError on both backends, after
+# the same prefix, instead of being counted or crashing mid-cascade.
+NON_INTEGRAL_VALUES = {"5.5": 5.5, "nan": math.nan, "7.25": 7.25}
+NON_INTEGRAL_PAIRS = {
+    "value_5.5": (5.5, 1),
+    "value_nan": (math.nan, 2),
+    "value_7.25": (7.25, 3),
+    "count_5.5": (4, 5.5),
+    "count_nan": (4, math.nan),
+    "count_7.25": (9, 7.25),
+}
+
 
 def outcome(call):
     """The exception type ``call`` raises, or ``None``."""
@@ -353,12 +366,13 @@ class TestMalformedInputParity:
         pairs[position] = BAD_ITEMS[bad]
         return pairs
 
-    def _check(self, feed_obj, feed_col, expect_error=True) -> None:
+    def _check(self, feed_obj, feed_col, expect_error=True):
         obj, col = both_trees(1e-2)
         raised = outcome(lambda: feed_obj(obj))
         assert outcome(lambda: feed_col(col)) is raised
         assert (raised is not None) == expect_error
         assert_equivalent(obj, col)
+        return raised
 
     @pytest.mark.parametrize("position", [0, 10, 4_000])
     @pytest.mark.parametrize("bad", ["negative", "range_max"])
@@ -385,6 +399,39 @@ class TestMalformedInputParity:
             lambda t: t.add_counted(pairs),
             lambda t: t.add_counted_arrays(values, counts),
         )
+
+    @pytest.mark.parametrize("position", [0, 10, 4_000])
+    @pytest.mark.parametrize("bad", sorted(NON_INTEGRAL_VALUES))
+    def test_extend_non_integral(self, bad, position):
+        values = [value for value, _ in self._pairs("negative", position)]
+        values[position] = NON_INTEGRAL_VALUES[bad]
+        raised = self._check(
+            lambda t: t.extend(values), lambda t: t.extend(values)
+        )
+        assert raised is TypeError
+
+    @pytest.mark.parametrize("position", [0, 10, 4_000])
+    @pytest.mark.parametrize("bad", sorted(NON_INTEGRAL_PAIRS))
+    @pytest.mark.parametrize("entry", ["add_counted", "add_batch"])
+    def test_counted_entries_non_integral(self, entry, bad, position):
+        pairs = self._pairs("negative", position)
+        pairs[position] = NON_INTEGRAL_PAIRS[bad]
+        raised = self._check(
+            lambda t: getattr(t, entry)(pairs),
+            lambda t: getattr(t, entry)(pairs),
+        )
+        assert raised is TypeError
+
+    @pytest.mark.parametrize("bad", sorted(NON_INTEGRAL_PAIRS))
+    def test_add_non_integral(self, bad):
+        value, count = NON_INTEGRAL_PAIRS[bad]
+        values = [value for value, _ in self._pairs("negative", 4_000)][:3_000]
+
+        def feed(tree):
+            tree.extend(values)
+            tree.add(value, count)
+
+        assert self._check(feed, feed) is TypeError
 
     @pytest.mark.parametrize("position", [0, 10, 4_000])
     def test_counted_arrays_past_int64(self, position):
