@@ -24,7 +24,7 @@ import io
 import json
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -45,6 +45,15 @@ _NOQA_PATTERN = re.compile(
 
 #: Code for the strict-mode suppression-audit findings themselves.
 NOQA_AUDIT_CODE = "RAP-NOQA"
+
+#: Per-process memo of the rule pass over one file, before noqa
+#: filtering, keyed by resolved path, module relpath (it scopes the
+#: rules), source text and the selected rule codes. Strictness only
+#: changes the filtering and the suppression audit, which rerun on
+#: every call, so default and strict lints of one tree share a single
+#: analysis. Rules read nothing but their own file, so the key is the
+#: whole input.
+_RULE_PASSES: Dict[Tuple[str, str, str, Tuple[str, ...]], List[Violation]] = {}
 
 
 @dataclass
@@ -365,14 +374,10 @@ def _audit_suppressions(file: Path, source: str) -> List[Violation]:
     return findings
 
 
-def lint_file(
-    file: Path,
-    rules: Dict[str, Rule],
-    root: Optional[Path] = None,
-    strict: bool = False,
+def _rule_pass(
+    file: Path, source: str, relpath: str, rules: Dict[str, Rule]
 ) -> List[Violation]:
-    """Lint a single file; syntax errors surface as RAP-SYNTAX."""
-    source = file.read_text(encoding="utf-8")
+    """Every rule's findings on one file, unfiltered (or RAP-SYNTAX)."""
     try:
         tree = ast.parse(source, filename=str(file))
     except SyntaxError as error:
@@ -385,18 +390,45 @@ def lint_file(
                 message=f"file does not parse: {error.msg}",
             )
         ]
-    source_lines = tuple(source.splitlines())
     context = LintContext(
         path=str(file),
-        relpath=_module_relpath(file, root or file.parent),
+        relpath=relpath,
         tree=tree,
-        source_lines=source_lines,
+        source_lines=tuple(source.splitlines()),
     )
-    violations: List[Violation] = []
-    for rule in rules.values():
-        for violation in rule.check(context):
-            if not _suppressed(violation, source_lines, strict=strict):
-                violations.append(violation)
+    return [
+        violation
+        for rule in rules.values()
+        for violation in rule.check(context)
+    ]
+
+
+def lint_file(
+    file: Path,
+    rules: Dict[str, Rule],
+    root: Optional[Path] = None,
+    strict: bool = False,
+) -> List[Violation]:
+    """Lint a single file; syntax errors surface as RAP-SYNTAX."""
+    source = file.read_text(encoding="utf-8")
+    relpath = _module_relpath(file, root or file.parent)
+    key = (str(file.resolve()), relpath, source, tuple(sorted(rules)))
+    found = _RULE_PASSES.get(key)
+    if found is None:
+        found = _RULE_PASSES[key] = _rule_pass(file, source, relpath, rules)
+    path = str(file)
+    found = [
+        violation if violation.path == path else replace(violation, path=path)
+        for violation in found
+    ]
+    if found and found[0].rule == "RAP-SYNTAX":
+        return found
+    source_lines = tuple(source.splitlines())
+    violations = [
+        violation
+        for violation in found
+        if not _suppressed(violation, source_lines, strict=strict)
+    ]
     if strict:
         violations.extend(_audit_suppressions(file, source))
     violations.sort(key=lambda v: (v.path, v.line, v.column, v.rule))

@@ -22,11 +22,14 @@ v1 call                    v2 replacement
 The shim preserves the v1 observable contract: ``profile.trees`` /
 ``profile.tree(name)`` expose the live trees, finalizing runs one last
 merge batch per non-empty tree, and adding after finalize raises
-``RuntimeError``. One behavioral note: point batches are now
-duplicate-combined and value-sorted before application (the Profiler's
-batch kernel), which can change split/merge *timing* relative to v1's
-strictly sequential ``add()`` loop — every count, estimate and bound is
-unaffected.
+``RuntimeError``. Two behavioral notes. The live trees are now
+columnar (``ColumnarRapTree``, the runtime's only shard kernel), which
+serializes and answers exactly like v1's ``RapTree``. And every
+``rap_add_points`` batch goes through ``Profiler.ingest_counted``, so
+its points are duplicate-combined (counts of equal values summed) and
+value-sorted before application, which can change split/merge
+*timing* relative to v1's strictly sequential ``add()`` loop — every
+count, estimate and bound is unaffected.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ def rap_add_points(
 
     Accepts plain values or ``(value, count)`` pairs (the latter
     matching the combining event buffer); both are routed through the
-    owning Profiler's counted-ingest path.
+    owning Profiler's counted-ingest path, which combines duplicates.
     """
     _deprecated(
         "rap_add_points()",

@@ -117,10 +117,6 @@ class TreeBackend(Protocol):
     # -- runtime hooks -------------------------------------------------
     def clone(self) -> "TreeBackend": ...
 
-    def confine_to_current_thread(self) -> None: ...
-
-    def unconfine(self) -> None: ...
-
     # -- validation ----------------------------------------------------
     def audit(self) -> None: ...
 

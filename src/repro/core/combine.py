@@ -36,7 +36,9 @@ object tree, one descent per nonzero node. Both paths produce the same
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .backend import TreeBackend
 from .columnar import ColumnarRapTree
@@ -184,6 +186,38 @@ def _add_at_range(tree: RapTree, lo: int, hi: int, count: int) -> None:
     node.count += count  # noqa: RAP-LINT003 - fold re-establishes conservation
     tree._node_count += created  # noqa: SLF001 - fold owns the new tree
     tree._generation += 1  # noqa: SLF001 - fold owns the new tree
+
+
+def combine_frames(
+    raw: List[np.ndarray],
+    counted: List[Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Duplicate-combine buffered frames into one sorted counted frame.
+
+    The paper's event-combining buffer (Section 3.3, stage 0) as one
+    array pass: ``raw`` frames weight each occurrence 1; ``counted``
+    frames carry explicit counts. The result is exactly ``np.unique``
+    with counts over the concatenated expansion — ascending values,
+    summed weights — without ever materializing the expansion. Dtypes
+    pass through untouched: ``add_counted_arrays`` owns validation, so
+    malformed values raise there exactly as they would have frame by
+    frame.
+    """
+    if not counted:
+        uniques, counts = np.unique(
+            np.concatenate(raw), return_counts=True
+        )
+        return uniques, counts.astype(np.int64, copy=False)
+    parts = list(raw) + [values for values, _ in counted]
+    weights = [
+        np.ones(len(values), dtype=np.int64) for values in raw
+    ] + [counts for _, counts in counted]
+    uniques, inverse = np.unique(
+        np.concatenate(parts), return_inverse=True
+    )
+    combined = np.zeros(uniques.size, dtype=np.int64)
+    np.add.at(combined, inverse, np.concatenate(weights))
+    return uniques, combined
 
 
 def split_stream_profile(

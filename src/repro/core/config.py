@@ -68,17 +68,20 @@ class RapConfig:
         :mod:`repro.core.columnar` with vectorized batch ingest). The two
         are observably equivalent — identical serialized trees for
         identical operation sequences — so this is purely a performance
-        knob; it is construction-time only and never serialized.
+        knob for experiments, the hardware model and tests; it is
+        construction-time only and never serialized. The
+        :class:`~repro.runtime.profiler.Profiler` ignores it: its shard
+        trees are always columnar.
     executor:
         Which runtime a :class:`~repro.runtime.profiler.Profiler` built
         from this config uses to drive its shards: ``"serial"`` (inline
         on the calling thread, the default) or ``"process"`` (one worker
-        process per shard, each owning a columnar tree in shared memory
-        fed through a shared-memory ring — requires
-        ``backend="columnar"``; falls back to ``"serial"`` when shared
-        memory is unavailable). Like ``backend`` it selects an
-        observably-equivalent engine, is construction-time only, and is
-        never serialized.
+        process per shard, each owning a tree in shared memory fed
+        through a shared-memory ring; falls back to ``"serial"`` when
+        shared memory is unavailable). Both executors build columnar
+        shard trees whatever ``backend`` says. Like ``backend`` it
+        selects an observably-equivalent engine, is construction-time
+        only, and is never serialized.
     shards:
         How many shard trees that profiler partitions the stream
         across (``>= 1``). Construction-time only, never serialized.
@@ -148,8 +151,7 @@ class RapConfig:
             raise ValueError(
                 "executor='thread' was removed: use executor='serial', "
                 "which builds the same trees faster (or "
-                "executor='process' with backend='columnar' for worker "
-                "processes)"
+                "executor='process' for worker processes)"
             )
         if self.executor not in ("serial", "process"):
             raise ValueError(
@@ -158,15 +160,6 @@ class RapConfig:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.executor == "process" and self.backend != "columnar":
-            raise ValueError(
-                "executor='process' requires backend='columnar': worker "
-                "processes keep their shard trees in shared-memory column "
-                "arrays, which the object backend's linked RapNode graph "
-                "cannot provide. Use RapConfig(..., backend='columnar', "
-                "executor='process'), or keep backend='object' with the "
-                "'serial' executor."
-            )
 
     @property
     def max_height(self) -> int:

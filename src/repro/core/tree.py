@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
 from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -86,10 +84,6 @@ class RapTree:
         # Mutation epoch for query-side caches (see repro.core.quantiles).
         # Bumped whenever counters or structure change.
         self._generation = 0
-        # Owner confinement (see repro.runtime): when set, only the
-        # owning (pid, thread) may mutate this tree. ``None`` means
-        # unconfined.
-        self._confined_ident: Optional[Tuple[int, int]] = None
 
     @classmethod
     def from_config(cls, config: RapConfig) -> "RapTree":
@@ -175,41 +169,8 @@ class RapTree:
         return (self._node_count * bits_per_node + 7) // 8
 
     # ------------------------------------------------------------------
-    # Thread confinement and cloning (runtime hooks)
+    # Cloning (runtime hook)
     # ------------------------------------------------------------------
-
-    def confine_to_current_thread(self) -> None:
-        """Restrict mutations to the calling thread *and process*.
-
-        The sharded runtime gives each worker a private tree;
-        confinement turns an accidental cross-owner mutation (a data
-        race that would silently corrupt counters) into an immediate
-        ``RuntimeError``. The owner key is ``(pid, thread ident)`` so
-        the check holds under the process executor: thread idents can
-        collide across processes, and a fork inherits the parent's
-        marker verbatim. Reads are not
-        restricted — snapshot folds walk shard trees from the
-        coordinating side while workers are quiesced.
-        """
-        self._confined_ident = (os.getpid(), threading.get_ident())
-
-    def unconfine(self) -> None:
-        """Lift confinement (any thread in any process may mutate)."""
-        self._confined_ident = None
-
-    def _assert_owner(self) -> None:
-        owner = self._confined_ident
-        if owner is None:
-            return
-        here = (os.getpid(), threading.get_ident())
-        if owner != here:
-            kind = "process" if owner[0] != here[0] else "thread"
-            raise RuntimeError(
-                "RapTree is confined to (pid, thread) "
-                f"{owner}; mutation attempted from the wrong {kind} "
-                f"{here}. Shard trees are single-writer — route events "
-                "through the owning worker's queue (see repro.runtime)."
-            )
 
     def clone(self) -> "RapTree":
         """Deep, independent copy of this profile.
@@ -217,8 +178,8 @@ class RapTree:
         Round-trips through the serializer (which preserves structure,
         counters, merge-schedule state and the full configuration), so
         the clone continues exactly where this tree is — but shares no
-        nodes with it. Used by the runtime to snapshot a single-shard
-        profile without aliasing the live tree. Statistics timelines are
+        nodes with it, so a snapshot never aliases the live tree.
+        Statistics timelines are
         not carried over; the clone starts fresh counters for
         splits/merges observed after the clone point.
         """
@@ -257,8 +218,6 @@ class RapTree:
         a fractional counter nor an unroutable value ever enters the
         tree.
         """
-        if self._confined_ident is not None:
-            self._assert_owner()
         value = operator.index(value)
         count = operator.index(count)
         if count <= 0:
@@ -443,8 +402,6 @@ class RapTree:
         enabled the per-pair path is used outright so those hooks see
         every update.
         """
-        if self._confined_ident is not None:
-            self._assert_owner()
         stats = self._stats
         add = self.add
         if stats.sample_every > 0 or self._audit_every:
@@ -621,8 +578,6 @@ class RapTree:
         without walking its interior. Produces exactly the tree a full
         post-order walk would.
         """
-        if self._confined_ident is not None:
-            self._assert_owner()
         threshold = self._config.merge_threshold(self._events)
         before = self._node_count
         visited = self._merge_frontier(threshold)

@@ -14,13 +14,14 @@ of batch boundaries or thread scheduling):
   each shard's tree spatially compact (useful when shards map to
   NUMA-style locality domains) at the cost of skew sensitivity.
 
-Both offer a scalar path (``shard_of``) and a vectorized numpy path
-(``split``) that produce identical assignments.
+Both offer a scalar path (``shard_of``) and vectorized numpy paths
+(``assign`` for the shard index of every value, ``split`` for the
+per-shard arrays) that produce identical assignments.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -42,6 +43,10 @@ class Partitioner:
         """Shard index owning ``value``."""
         raise NotImplementedError
 
+    def assign(self, values: np.ndarray) -> np.ndarray:
+        """Shard index of every value (the vectorized ``shard_of``)."""
+        raise NotImplementedError
+
     def split(self, values: np.ndarray) -> List[np.ndarray]:
         """Partition ``values`` into per-shard arrays (vectorized).
 
@@ -51,27 +56,6 @@ class Partitioner:
         """
         raise NotImplementedError
 
-    def split_counted(
-        self, values: np.ndarray
-    ) -> List[Sequence[Tuple[int, int]]]:
-        """Partition and duplicate-combine in one pass.
-
-        For each shard, returns ``(value, count)`` pairs with duplicates
-        merged via ``np.unique`` — the vectorized analogue of the
-        paper's event-combining buffer (Section 3.3, stage 0), feeding
-        :meth:`RapTree.add_batch` directly.
-        """
-        combined: List[Sequence[Tuple[int, int]]] = []
-        for part in self.split(values):
-            if len(part) == 0:
-                combined.append([])
-                continue
-            uniques, counts = np.unique(part, return_counts=True)
-            combined.append(
-                list(zip(uniques.tolist(), counts.tolist()))
-            )
-        return combined
-
 
 class HashPartitioner(Partitioner):
     """Fibonacci-hash assignment: uniform across shards under any skew."""
@@ -80,13 +64,16 @@ class HashPartitioner(Partitioner):
         mixed = (value * _FIB_MULT) & 0xFFFFFFFFFFFFFFFF
         return (mixed >> 32) % self.shards
 
+    def assign(self, values: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            mixed = np.asarray(values, dtype=np.uint64) * np.uint64(_FIB_MULT)
+        return (mixed >> np.uint64(32)) % np.uint64(self.shards)
+
     def split(self, values: np.ndarray) -> List[np.ndarray]:
         if self.shards == 1:
             return [np.asarray(values)]
         values = np.asarray(values, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            mixed = values * np.uint64(_FIB_MULT)
-        assignment = (mixed >> np.uint64(32)) % np.uint64(self.shards)
+        assignment = self.assign(values)
         return [
             values[assignment == shard] for shard in range(self.shards)
         ]
@@ -110,13 +97,14 @@ class RangePartitioner(Partitioner):
     def shard_of(self, value: int) -> int:
         return int(np.searchsorted(self._boundaries, value, side="right"))
 
+    def assign(self, values: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._boundaries, values, side="right")
+
     def split(self, values: np.ndarray) -> List[np.ndarray]:
         if self.shards == 1:
             return [np.asarray(values)]
         values = np.asarray(values)
-        assignment = np.searchsorted(
-            self._boundaries, values, side="right"
-        )
+        assignment = self.assign(values)
         return [
             values[assignment == shard] for shard in range(self.shards)
         ]

@@ -1,17 +1,17 @@
 """The ``Profiler`` service object: sharded ingestion over RAP trees.
 
 ``Profiler`` is the API v2 top-level entry point for profiling a
-stream. It owns ``N`` shard trees and a deterministic partitioner
-mapping each event value to its shard; the executor decides where the
-shard trees live:
+stream. It owns ``N`` columnar shard trees and a deterministic
+partitioner mapping each event value to its shard; the executor decides
+where the shard trees live:
 
 .. code-block:: text
 
     ingest(values)                       calling thread, ingest lock held
         └─ partition (numpy, one pass)
-             ├─ serial:  shard tree 0..N-1 in this process, applied inline
+             ├─ serial:  combine_frames ── columnar shard 0..N-1, inline
              └─ process: ring[i] ── worker process i ── columnar shard i
-                         (shared memory)                 (shared memory)
+                         (shared memory)  (combine_frames) (shared memory)
     snapshot()  =  quiesce every shard, then fold the shard trees
                    with ``combine_many`` into one consistent tree
 
@@ -22,15 +22,27 @@ constructor keywords as call-site overrides:
 * ``"serial"`` (default) partitions each chunk, duplicate-combines it
   per shard and applies it inline on the calling thread. Shard trees
   live in this process and are mutated only under the ingest lock.
-* ``"process"`` runs one worker process per shard (requires
-  ``backend="columnar"``): each worker owns a columnar tree whose
-  columns live in shared memory (:mod:`repro.runtime.shm`), fed binary
+* ``"process"`` runs one worker process per shard: each worker owns a
+  columnar tree whose columns live in shared memory
+  (:mod:`repro.runtime.shm`), fed binary
   counted frames through a shared-memory SPSC ring
   (:mod:`repro.runtime.ring`) that carries the block/drop/spill
   backpressure policy. Snapshots attach the quiesced workers' columns
   zero-copy and fold them in the parent. When shared memory turns out
   to be unavailable at ``open()``, the profiler reaps its workers and
   runs as ``"serial"`` instead (with a ``RuntimeWarning``).
+
+Both executors ingest arrays only: a chunk is split with the
+partitioner's vectorized assignment and each shard's part is
+duplicate-combined by :func:`repro.core.combine.combine_frames` before
+``add_counted_arrays`` (the serial executor per chunk, the worker per
+combining window); a single serial shard feeds its raw chunk to
+``extend``. Shard trees are always columnar, whatever
+``config.backend`` says: the object tree builds the identical profile
+(``dump_tree`` equality is pinned) and stays the reference oracle in
+tests, experiments and the hardware model. Non-integral input (float
+or complex data) raises ``TypeError`` before any event of the call is
+applied.
 
 Lifecycle: ``open() → ingest()* → snapshot()* → close()``; the object
 is also a context manager. ``query(lo, hi)`` is sugar for
@@ -65,9 +77,11 @@ bound relaxing to ``shard_epsilon * n_total``.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 import threading
 import warnings
+from array import array
 from typing import (
     Callable,
     Dict,
@@ -83,7 +97,7 @@ import numpy as np
 
 from ..core.backend import TreeBackend
 from ..core.config import RapConfig
-from ..core.combine import combine_many
+from ..core.combine import combine_frames, combine_many
 from ..core.serialize import FRAME_BATCH, FRAME_CBATCH
 from ..core.tree import RapTree
 from .metrics import RuntimeMetrics, ShardMetrics
@@ -129,7 +143,41 @@ _POLL_INTERVAL = 0.1
 _EXIT_GRACE = 5.0
 
 #: Value dtypes the binary frame format carries natively.
-_FRAME_DTYPES = (np.dtype("<u8"), np.dtype("<i8"), np.dtype("<f8"))
+_FRAME_DTYPES = (np.dtype("<u8"), np.dtype("<i8"))
+
+
+def _integer_column(items: Values, what: str) -> np.ndarray:
+    """``items`` as an integer ndarray, refusing non-integral data.
+
+    The profiler's one array boundary: a fractional value or count
+    would otherwise be truncated silently by a cast further down (the
+    partitioner's, a frame's), so float or complex data raises
+    ``TypeError`` here, before any event of the call is applied. Lists
+    convert exactly: ``int64`` when every item fits, otherwise whatever
+    ``np.asarray`` infers, or Python ints (``object``) where numpy's
+    inference would fall back to float. Range checks stay with the
+    trees.
+    """
+    if isinstance(items, np.ndarray):
+        column = items
+    else:
+        items = list(items)
+        try:
+            return np.frombuffer(array("q", items), dtype=np.int64)
+        except (OverflowError, TypeError):
+            column = np.asarray(items)
+        if column.dtype.kind in "fc":
+            try:
+                column = np.asarray(
+                    [operator.index(item) for item in items], dtype=object
+                )
+            except TypeError:
+                pass
+    if column.dtype.kind in "fc":
+        raise TypeError(
+            f"Profiler {what} must be integers, got {column.dtype} data"
+        )
+    return column
 
 
 def _frame_values(part: np.ndarray) -> np.ndarray:
@@ -138,9 +186,10 @@ def _frame_values(part: np.ndarray) -> np.ndarray:
     Workload arrays are already ``uint64`` and pass through untouched;
     plain Python lists arrive as ``int64`` (also native). Anything else
     — ``int32``, object arrays of Python ints — is widened once here.
-    Values the tree would reject (negatives, non-integers) still flow
-    through and fail inside the worker, except out-of-``int64``-range
-    object arrays, which are re-tried as ``uint64``.
+    Values the tree would reject (negatives, past the universe) still
+    flow through and fail inside the worker, except
+    out-of-``int64``-range object arrays, which are re-tried as
+    ``uint64``.
     """
     if part.dtype in _FRAME_DTYPES:
         return part
@@ -209,9 +258,10 @@ class Profiler:
         ``None`` (default) inherits ``config.executor``. ``"serial"``
         processes every batch inline on the calling thread —
         deterministic scheduling, no worker to start; ``"process"``
-        runs one worker process per shard over shared-memory columnar
-        trees (requires ``backend="columnar"``) and falls back to
-        ``"serial"`` at ``open()`` when shared memory is unavailable.
+        runs one worker process per shard over shared-memory trees and
+        falls back to ``"serial"`` at ``open()`` when shared memory is
+        unavailable. Either way the shard trees are columnar; the
+        runtime ignores ``config.backend``.
     partition:
         ``"hash"`` (default) or ``"range"`` — see
         :mod:`repro.runtime.partition`.
@@ -271,8 +321,7 @@ class Profiler:
         if executor is None:
             executor = config.executor
         # Route the resolved knobs through the config's own validation
-        # so every executor/shards/backend combination fails with one
-        # message (notably executor='process' + backend='object').
+        # so a bad executor or shard count fails with one message.
         config.with_updates(executor=executor, shards=shards)
         if backpressure not in _POLICIES:
             raise ValueError(
@@ -293,9 +342,11 @@ class Profiler:
         self._partitioner: Partitioner = make_partitioner(
             partition, shards, config.range_max
         )
-        shard_config = config
+        # Shard trees are columnar on every executor: the object tree
+        # builds the identical profile, only slower.
+        shard_config = config.with_updates(backend="columnar")
         if shard_epsilon is not None:
-            shard_config = config.with_updates(epsilon=shard_epsilon)
+            shard_config = shard_config.with_updates(epsilon=shard_epsilon)
         self._shard_config = shard_config
         self._batch_size = batch_size
         self._clock = clock
@@ -655,92 +706,87 @@ class Profiler:
         part and applies it inline; the process executor writes the raw
         parts into the shard rings. Returns once every chunk is
         accepted — which, under ``block`` backpressure, may wait for
-        ring space.
+        ring space. Float or complex data raises ``TypeError``.
         """
         self._check_ingestible()
-        array = np.asarray(
-            values if isinstance(values, np.ndarray) else list(values)
-        )
+        column = _integer_column(values, "event values")
         clock = self._clock
         start = clock() if clock is not None else 0.0
         with self._ingest_lock:
             self._check_ingestible()
             step = self._batch_size
-            for at in range(0, len(array), step):
-                self._dispatch_chunk(array[at:at + step])
+            for at in range(0, len(column), step):
+                self._dispatch_chunk(column[at:at + step])
         if clock is not None:
             self._ingest_seconds += clock() - start
 
     def ingest_counted(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Feed pre-combined ``(value, count)`` pairs."""
+        """Feed pre-combined ``(value, count)`` pairs.
+
+        Duplicate values are combined (their counts summed) before they
+        reach a shard tree, exactly like a chunk of raw events. Float or
+        complex values or counts raise ``TypeError``.
+        """
         self._check_ingestible()
         items = list(pairs)
+        values = _integer_column([value for value, _ in items], "values")
+        counts = _integer_column([count for _, count in items], "counts")
+        if counts.dtype != np.int64:
+            raise OverflowError(
+                "Profiler counts must fit the shard trees' int64 counters"
+            )
         clock = self._clock
         start = clock() if clock is not None else 0.0
         with self._ingest_lock:
             self._check_ingestible()
-            shard_of = self._partitioner.shard_of
-            buckets: List[List[Tuple[int, int]]] = [
-                [] for _ in range(self._shards)
-            ]
-            for value, count in items:
-                buckets[shard_of(int(value))].append((int(value), int(count)))
-            for shard, bucket in enumerate(buckets):
-                if not bucket:
-                    continue
-                weight = sum(count for _, count in bucket)
-                if self._executor == "serial":
-                    self._apply(shard, bucket, weight)
-                    continue
-                # Array-shaped counted frame; the worker's combining
-                # buffer treats its counts as weights, so this is
-                # observably one pre-combined batch like the serial
-                # path's.
-                bucket.sort()
-                values = np.asarray(
-                    [value for value, _ in bucket], dtype=np.uint64
-                )
-                counts = np.asarray(
-                    [count for _, count in bucket], dtype=np.int64
-                )
-                self._submit_ring(shard, FRAME_CBATCH, values, counts, weight)
+            assignment = self._partitioner.assign(values)
+            for shard in range(self._shards):
+                mine = assignment == shard
+                if mine.any():
+                    self._deliver(shard, values[mine], counts[mine])
         if clock is not None:
             self._ingest_seconds += clock() - start
 
     def _dispatch_chunk(self, chunk: np.ndarray) -> None:
-        if self._executor == "process":
-            # Raw partitioned frames: no producer-side np.unique. The
-            # worker buffers frames and duplicate-combines its whole
-            # buffered substream in one pass (see ``worker_main``),
-            # which both shrinks the work per event and moves the
-            # combining sort off the dispatching thread. The
-            # partitioner's output arrays are encoded straight into
-            # each shard's shared ring — no queue hop, no pickle.
-            for shard, part in enumerate(self._partitioner.split(chunk)):
-                if len(part):
-                    self._submit_ring(
-                        shard, FRAME_BATCH, _frame_values(part), None, len(part)
-                    )
-            return
-        if self._shards == 1:
+        if self._executor == "serial" and self._shards == 1:
             # Single-shard passthrough: no partition, no combine — the
             # same per-event path a bare tree takes (and the honest
             # baseline the multi-shard benchmark compares against).
-            tree = self._trees[0]
-            tree.extend(chunk.tolist())
+            self._trees[0].extend(chunk)
             self._shard_events[0] += len(chunk)
             self._shard_batches[0] += 1
             return
-        for shard, batch in enumerate(
-            self._partitioner.split_counted(chunk)
-        ):
-            if batch:
-                self._apply(shard, batch, sum(count for _, count in batch))
+        for shard, part in enumerate(self._partitioner.split(chunk)):
+            if len(part):
+                self._deliver(shard, part, None)
 
-    def _apply(self, shard: int, batch, weight: int) -> None:
-        """Apply one counted batch to an in-process shard tree."""
-        self._trees[shard].add_batch(batch)
-        self._shard_events[shard] += weight
+    def _deliver(
+        self, shard: int, values: np.ndarray, counts: Optional[np.ndarray]
+    ) -> None:
+        """Hand one shard's part (raw when ``counts`` is None) to it.
+
+        Serial: duplicate-combine it and apply it to the in-process
+        tree. Process: write it into the shard's ring as-is — the
+        worker combines whole windows of frames (see ``worker_main``),
+        which also moves the combining sort off the dispatching thread.
+        """
+        if self._executor == "process":
+            if counts is None:
+                kind, weight = FRAME_BATCH, len(values)
+            else:
+                kind, weight = FRAME_CBATCH, int(counts.sum())
+            self._submit_ring(
+                shard, kind, _frame_values(values), counts, weight
+            )
+            return
+        if counts is None:
+            combined = combine_frames([values], [])
+        else:
+            combined = combine_frames([], [(values, counts)])
+        tree = self._trees[shard]
+        before = tree.events
+        tree.add_counted_arrays(*combined)
+        self._shard_events[shard] += tree.events - before
         self._shard_batches[shard] += 1
 
     def _submit_ring(
@@ -914,10 +960,8 @@ class Profiler:
         are cloned; process-executor shards are folded from attached
         copies of their shared-memory columns) and cached: repeated
         snapshots with no intervening ingest return the same tree
-        without re-folding. Its backend follows the shards': a columnar
-        profiler (the process executor always) returns a
-        ``ColumnarRapTree``, folded straight from the shard columns; an
-        object profiler returns a ``RapTree``.
+        without re-folding. It is a ``ColumnarRapTree`` on every
+        executor, folded straight from the shard columns.
         """
         if self._state == "closed":
             if self._snapshot_cache is None:

@@ -12,10 +12,12 @@ combining flush.
 
 Frames are *buffered*, not ingested one by one: the worker accumulates
 them in a combining buffer and duplicate-combines the whole buffered
-substream in a single ``np.unique`` pass right before feeding one
-sorted counted frame to ``add_counted_arrays`` — the paper's
-event-combining buffer (Section 3.3, stage 0) stretched across frames,
-which is where the process executor's ingest advantage comes from. The
+substream in a single ``np.unique`` pass
+(:func:`repro.core.combine.combine_frames`, the same combine the serial
+executor runs per chunk) right before feeding one sorted counted frame
+to ``add_counted_arrays`` — the paper's event-combining buffer
+(Section 3.3, stage 0) stretched across frames, which is where the
+process executor's ingest advantage comes from. The
 buffer flushes when it holds ``_COMBINE_WINDOW`` events and at every
 sync, so its memory is bounded and its flush points are a pure function
 of the frame sequence (ring order = producer dispatch order): repeat
@@ -59,6 +61,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.combine import combine_frames
 from ..core.config import RapConfig
 from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the worker owns its shard kernel: the shm allocator hook and column_state/attach protocol are columnar-only by design
 from ..core.serialize import FRAME_CBATCH, FRAME_SYNC
@@ -82,37 +85,6 @@ _COMBINE_WINDOW = 1 << 17
 _RING_IDLE_POLL = 0.05
 
 
-def _combine_frames(
-    raw: List[np.ndarray],
-    counted: List[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Duplicate-combine buffered frames into one sorted counted frame.
-
-    ``raw`` frames weight each occurrence 1; ``counted`` frames carry
-    explicit counts. The result is exactly ``np.unique`` with counts
-    over the concatenated expansion — ascending values, summed
-    weights — without ever materializing the expansion. Dtypes pass
-    through untouched: ``add_counted_arrays`` owns validation, so
-    malformed values raise there exactly as they would have
-    frame by frame.
-    """
-    if not counted:
-        uniques, counts = np.unique(
-            np.concatenate(raw), return_counts=True
-        )
-        return uniques, counts.astype(np.int64, copy=False)
-    parts = list(raw) + [values for values, _ in counted]
-    weights = [
-        np.ones(len(values), dtype=np.int64) for values in raw
-    ] + [counts for _, counts in counted]
-    uniques, inverse = np.unique(
-        np.concatenate(parts), return_inverse=True
-    )
-    combined = np.zeros(uniques.size, dtype=np.int64)
-    np.add.at(combined, inverse, np.concatenate(weights))
-    return uniques, combined
-
-
 def _warm_ingest_path(config: RapConfig) -> None:
     """Exercise the flush pipeline once on a scratch tree (then drop it).
 
@@ -124,7 +96,7 @@ def _warm_ingest_path(config: RapConfig) -> None:
     try:
         span = min(4096, config.range_max)
         values = (np.arange(2048, dtype=np.uint64) * 7) % span
-        uniques, counts = _combine_frames(
+        uniques, counts = combine_frames(
             [values], [(np.arange(8, dtype=np.uint64), np.ones(8, np.int64))]
         )
         scratch = ColumnarRapTree(config)
@@ -208,7 +180,7 @@ def worker_main(
         if failed is not None or not (raw or counted):
             return
         try:
-            values, counts = _combine_frames(raw, counted)
+            values, counts = combine_frames(raw, counted)
             # First flush on a fresh tree: build the partition offline
             # in one pass (same bounds, far cheaper than cascading a
             # cold tree through per-event splits). Preconditions not

@@ -540,6 +540,36 @@ class TestRunner:
         assert report.ok, report.render_text()
         assert report.files_checked > 40
 
+    def test_memoized_rule_pass_tracks_strictness_spelling_and_edits(
+        self, tmp_path, monkeypatch
+    ):
+        source = (
+            "import random\n"
+            "x = random.random()  # noqa\n"
+            "y = random.random()\n"
+        )
+        first = lint_snippet(tmp_path, "experiments/demo.py", source)
+        assert [(v.rule, v.line) for v in first.violations] == [
+            ("RAP-LINT001", 3)
+        ]
+        # Strict reuses the memoized rule pass but re-filters: the bare
+        # noqa is inert and flagged.
+        strict = lint_paths([str(tmp_path)], strict=True)
+        assert sorted(codes(strict)) == [
+            "RAP-LINT001", "RAP-LINT001", "RAP-NOQA"
+        ]
+        # Another spelling of the same file reports that spelling.
+        monkeypatch.chdir(tmp_path)
+        relative = lint_paths(["experiments"])
+        assert [v.path for v in relative.violations] == [
+            str(Path("experiments") / "demo.py")
+        ]
+        # An edit is a new key.
+        target = tmp_path / "experiments" / "demo.py"
+        target.write_text(source.replace("y = random", "y = 1 + random"))
+        edited = lint_paths([str(tmp_path)])
+        assert [v.column for v in edited.violations] == [8]
+
     def test_bare_noqa_silences_any_rule(self, tmp_path):
         report = lint_snippet(
             tmp_path,

@@ -134,7 +134,11 @@ class TestLockAndQueueDiscipline:
 
     def test_confinement_tracking_follows_the_protocol(self):
         sanitizer = RapSanitizer()
-        tree = RapTree.from_config(RapConfig(UNIVERSE, epsilon=0.1))
+        # Confinement lives on the columnar kernel, the runtime's only
+        # shard tree.
+        tree = RapTree.from_config(
+            RapConfig(UNIVERSE, epsilon=0.1, backend="columnar")
+        )
         sanitizer.attach_tree(tree, "solo")
         tree.add(1)  # unconfined: any thread may mutate
         tree.confine_to_current_thread()

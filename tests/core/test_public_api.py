@@ -114,9 +114,7 @@ class TestExecutorSelection:
         assert profiler.executor == "serial" and profiler.shards == 2
 
     def test_constructor_keywords_override_config(self):
-        config = RapConfig(
-            256, backend="columnar", executor="process", shards=2
-        )
+        config = RapConfig(256, executor="process", shards=2)
         profiler = Profiler(config, shards=4, executor="serial")
         assert profiler.executor == "serial" and profiler.shards == 4
 
@@ -125,23 +123,19 @@ class TestExecutorSelection:
         assert Profiler(RapConfig(256)).executor == "serial"
 
     def test_process_executor_is_blessed(self):
-        config = RapConfig(
-            256, backend="columnar", executor="process", shards=2
-        )
+        config = RapConfig(256, executor="process", shards=2)
         assert Profiler.from_config(config).executor == "process"
 
-    def test_process_executor_rejects_object_backend_actionably(self):
-        with pytest.raises(ValueError) as excinfo:
-            RapConfig(256, executor="process")
-        message = str(excinfo.value)
-        assert "backend='columnar'" in message
-        assert "executor='process'" in message
-
-    def test_profiler_rejects_object_backend_for_process_executor(self):
-        # Same single validation path when the knob arrives as an
-        # override rather than a config field.
-        with pytest.raises(ValueError, match="columnar"):
-            Profiler(RapConfig(256), executor="process")
+    @pytest.mark.parametrize("backend", ["object", "columnar"])
+    def test_process_executor_accepts_either_config_backend(self, backend):
+        # The runtime builds columnar shard trees whatever the config's
+        # backend says, so no backend/executor pairing is rejected.
+        config = RapConfig(256, backend=backend, executor="process")
+        assert Profiler(config).executor == "process"
+        profiler = Profiler(
+            RapConfig(256, backend=backend), executor="process"
+        )
+        assert profiler.executor == "process"
 
     def test_unknown_executor_rejected_everywhere(self):
         with pytest.raises(ValueError, match="executor"):

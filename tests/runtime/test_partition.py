@@ -79,21 +79,21 @@ class TestRangePartitioner:
             assert 0 <= partitioner.shard_of(value) < 3
 
 
-class TestSplitCounted:
-    def test_counts_conserve_events(self):
-        partitioner = HashPartitioner(4)
+class TestAssign:
+    @pytest.mark.parametrize(
+        "partitioner",
+        [HashPartitioner(4), RangePartitioner(4, UNIVERSE)],
+        ids=["hash", "range"],
+    )
+    def test_assign_agrees_with_split_and_shard_of(self, partitioner):
         rng = np.random.default_rng(17)
-        values = rng.integers(0, 1000, size=5000, dtype=np.uint64)
-        batches = partitioner.split_counted(values)
-        total = sum(count for batch in batches for _, count in batch)
-        assert total == 5000
-
-    def test_duplicates_are_combined(self):
-        partitioner = HashPartitioner(2)
-        values = np.array([7] * 100 + [9] * 50, dtype=np.uint64)
-        batches = partitioner.split_counted(values)
-        pairs = [pair for batch in batches for pair in batch]
-        assert sorted(pairs) == [(7, 100), (9, 50)]
+        values = rng.integers(0, UNIVERSE, size=2000, dtype=np.uint64)
+        assignment = partitioner.assign(values)
+        assert [
+            int(shard) for shard in assignment
+        ] == [partitioner.shard_of(int(value)) for value in values]
+        for shard, part in enumerate(partitioner.split(values)):
+            assert part.tolist() == values[assignment == shard].tolist()
 
 
 class TestMakePartitioner:

@@ -37,9 +37,7 @@ EPS = 0.05
 
 
 def process_config(**overrides) -> RapConfig:
-    options = dict(
-        epsilon=EPS, backend="columnar", executor="process", shards=2
-    )
+    options = dict(epsilon=EPS, executor="process", shards=2)
     options.update(overrides)
     return RapConfig(UNIVERSE, **options)
 

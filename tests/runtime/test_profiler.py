@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import RapConfig, RapTree
-from repro.runtime import MIN_RING_BYTES, Profiler
+from repro.core import RapConfig, RapTree, combine_many, dump_tree
+from repro.runtime import MIN_RING_BYTES, Profiler, make_partitioner
 
 UNIVERSE = 2**16
 
@@ -88,6 +88,100 @@ class TestSingleShardPassthrough:
             assert profiler.snapshot().events == 150
 
 
+class TestColumnarRuntime:
+    """Shard trees are columnar on every executor; the object tree,
+    fed the same operations, is the oracle for their shape."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_default_config_snapshots_are_columnar(self, executor):
+        with Profiler(RapConfig(UNIVERSE), executor=executor) as profiler:
+            profiler.ingest(zipf_values(41, 5_000))
+            snapshot = profiler.snapshot()
+        assert type(snapshot).__name__ == "ColumnarRapTree"
+        assert snapshot.events == 5_000
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_serial_snapshot_matches_the_object_oracle(self, shards):
+        batch = 1024
+        chunks = [zipf_values(seed, 3 * batch + 17) for seed in (43, 47)]
+        counted = [(5, 40), (900, 3), (5, 2), (UNIVERSE - 1, 7), (900, 1)]
+        with Profiler(
+            config(), shards=shards, executor="serial", batch_size=batch
+        ) as profiler:
+            profiler.ingest(chunks[0])
+            profiler.ingest_counted(counted)
+            profiler.ingest(chunks[1])
+            snapshot = profiler.snapshot()
+
+        # The oracle: one object tree per shard fed each part the way
+        # the runtime documents — a lone shard takes the raw chunk
+        # through extend(), several shards take their part of every
+        # chunk duplicate-combined; counted pairs are always combined.
+        partitioner = make_partitioner("hash", shards, UNIVERSE)
+        trees = [
+            RapTree.from_config(config(backend="object"))
+            for _ in range(shards)
+        ]
+
+        def combined(values, weights):
+            totals = {}
+            for value, weight in zip(values, weights):
+                totals[int(value)] = totals.get(int(value), 0) + int(weight)
+            return sorted(totals.items())
+
+        def feed(values):
+            for at in range(0, len(values), batch):
+                chunk = values[at:at + batch]
+                if shards == 1:
+                    trees[0].extend(chunk.tolist())
+                    continue
+                for tree, part in zip(trees, partitioner.split(chunk)):
+                    if len(part):
+                        tree.add_batch(combined(part, [1] * len(part)))
+
+        feed(chunks[0])
+        for shard, tree in enumerate(trees):
+            mine = [
+                pair for pair in counted
+                if partitioner.shard_of(pair[0]) == shard
+            ]
+            if mine:
+                tree.add_batch(combined(*zip(*mine)))
+        feed(chunks[1])
+        oracle = combine_many(trees)
+        assert type(oracle).__name__ == "RapTree"
+        assert dump_tree(snapshot) == dump_tree(oracle)
+
+
+
+class TestNonIntegralInput:
+    """Float or complex data is refused before any event is applied."""
+
+    CALLS = {
+        "float-array": lambda p: p.ingest(np.array([5.0, 7.5])),
+        "float-value": lambda p: p.ingest_counted([(5, 1), (5.5, 1)]),
+        "float-count": lambda p: p.ingest_counted([(5, 2), (7, 2.7)]),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_rejected_with_type_error(self, executor, shards, call):
+        with Profiler(config(), shards=shards, executor=executor) as profiler:
+            profiler.ingest([1, 2, 3])
+            with pytest.raises(TypeError, match="integers"):
+                self.CALLS[call](profiler)
+            assert profiler.snapshot().events == 3
+            assert profiler.metrics.events == 3
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_count_past_int64_is_refused_whole(self, executor):
+        with Profiler(config(), shards=2, executor=executor) as profiler:
+            with pytest.raises(OverflowError, match="int64"):
+                profiler.ingest_counted([(5, 1), (7, 2**63)])
+            assert profiler.snapshot().events == 0
+
+
 class TestThreadedIngestion:
     """Multi-shard ingestion: accounting, epochs, drain and errors."""
 
@@ -131,7 +225,7 @@ class TestThreadedIngestion:
         # the producer side raises it from drain() and again from
         # close(), which still reaps every worker.
         profiler = Profiler(
-            config(backend="columnar"), shards=2, executor="process"
+            config(), shards=2, executor="process"
         ).open()
         try:
             profiler.ingest_counted([(UNIVERSE + 5, 1)] * 8)
@@ -164,7 +258,7 @@ class TestBackpressurePolicies:
     @staticmethod
     def ring_profiler(backpressure: str) -> Profiler:
         return Profiler(
-            config(backend="columnar"),
+            config(),
             shards=2,
             executor="process",
             backpressure=backpressure,
@@ -216,7 +310,7 @@ class TestBackpressurePolicies:
     def test_unknown_policy_rejected_for_every_executor(self, executor):
         with pytest.raises(ValueError, match="backpressure"):
             Profiler(
-                config(backend="columnar"),
+                config(),
                 executor=executor,
                 backpressure="explode",
             )
@@ -349,7 +443,7 @@ class TestHotRanges:
             np.arange(0, UNIVERSE, 97, dtype=np.uint64),
         ])
         with Profiler(
-            config(epsilon=0.01, backend="columnar"),
+            config(epsilon=0.01),
             shards=shards,
             executor=executor,
         ) as profiler:

@@ -50,15 +50,8 @@ def random_ranges(rng: random.Random, n: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def backend_for(executor: str) -> str:
-    # The process executor hosts shard trees in shared-memory columns,
-    # which only the columnar backend provides.
-    return "columnar" if executor == "process" else "object"
-
-
 def profiled_snapshot(values: Sequence[int], shards: int, **options) -> RapTree:
-    backend = backend_for(options.get("executor", "serial"))
-    config = RapConfig(UNIVERSE, epsilon=EPS, backend=backend)
+    config = RapConfig(UNIVERSE, epsilon=EPS)
     with Profiler(config, shards=shards, **options) as profiler:
         profiler.ingest(np.asarray(values, dtype=np.uint64))
         return profiler.snapshot()
@@ -169,12 +162,7 @@ class TestSanitizedRuns:
         rng = random.Random(131)
         values = zipf_stream(rng, UNIVERSE, 30_000)
         plain = profiled_snapshot(values, 4, executor=executor)
-        config = RapConfig(
-            UNIVERSE,
-            epsilon=EPS,
-            backend=backend_for(executor),
-            debug_sanitize=True,
-        )
+        config = RapConfig(UNIVERSE, epsilon=EPS, debug_sanitize=True)
         with Profiler(config, shards=4, executor=executor) as profiler:
             profiler.ingest(np.asarray(values, dtype=np.uint64))
             sanitized = profiler.snapshot()
@@ -221,9 +209,7 @@ class TestAcceptanceScenario:
     @pytest.fixture(scope="class")
     def snapshot(self, stream):
         values, _ = stream
-        config = RapConfig(
-            UNIVERSE, epsilon=EPS, backend=backend_for(self.executor)
-        )
+        config = RapConfig(UNIVERSE, epsilon=EPS)
         with Profiler(config, shards=4, executor=self.executor) as profiler:
             profiler.ingest(np.asarray(values, dtype=np.uint64))
             report = profiler.hot_ranges(hot_fraction=0.05)
