@@ -1,11 +1,10 @@
 """Multi-shard runtime throughput against the single-shard baseline.
 
 The tentpole claim for :mod:`repro.runtime`: partitioning a stream
-across shards — duplicate-combining per shard, then
-``add_counted_arrays`` on each columnar shard tree — beats the
-single-shard raw ``extend`` path by >= 2x events/sec at the default 50k
-scale. Both sides run columnar shard trees: the runtime builds no
-other kind.
+across shards, each fed by its own ingest stage
+(:class:`repro.core.combine.IngestStage`), beats a single shard by
+>= 2x events/sec at the default 50k scale. Both sides run the same
+stage over columnar shard trees: the runtime builds no other kind.
 The multi-shard configuration uses ``shard_epsilon = N * epsilon``
 (equal total node budget, documented ``shard_epsilon * n`` snapshot
 bound) so the comparison holds memory constant; see ``docs/runtime.md``.
@@ -48,8 +47,8 @@ def value_stream():
 
 
 def _single_shard(values, universe):
-    """The baseline: one columnar tree fed each raw chunk through
-    ``extend`` (no partition/combine)."""
+    """The baseline: one serial shard (no partition), fed by the same
+    ingest stage as every other shard."""
     return Profiler(
         RapConfig(range_max=universe, epsilon=EPSILON),
         shards=1,

@@ -26,10 +26,12 @@ merge batch per non-empty tree, and adding after finalize raises
 columnar (``ColumnarRapTree``, the runtime's only shard kernel), which
 serializes and answers exactly like v1's ``RapTree``. And every
 ``rap_add_points`` batch goes through ``Profiler.ingest_counted``, so
-its points are duplicate-combined (counts of equal values summed) and
-value-sorted before application, which can change split/merge
+its points pass through the profiler's ingest stage
+(:class:`repro.core.combine.IngestStage`): duplicate-combined (counts
+of equal values summed) and value-sorted in windows, the first of
+which builds the fresh tree offline. That changes split/merge
 *timing* relative to v1's strictly sequential ``add()`` loop — every
-count, estimate and bound is unaffected.
+count, estimate and the ``epsilon * n`` bound is unaffected.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ owner and coalesce equal-owner runs — no wholesale rebuild on either
 path. ``_rebuild_cover`` derives the index from the sibling chains in
 one vectorized pass; it serves as the oracle that ``check_invariants``
 compares against, and builds the index once, on first use, for a tree
-wrapped by ``attach_columns``.
+wrapped by ``attach_columns`` or built by ``bootstrap_counted_arrays``.
 
 Batch ingest has one form: counted columns (uint64 values, int64
 counts). ``add_counted``/``add_batch``/``add_counted_arrays`` convert
@@ -85,12 +85,12 @@ no float64 rounding ever enters a routing decision, including counters
 past 2**53 (RAP-LINT019/020 gate regressions here). The scalar cascade
 converts every counter it reads to a Python int before comparing
 against float thresholds, preserving CPython's exact int-float
-comparison. Totals beyond int64 are out of the kernel's domain: a
-counter store past 2**63-1 raises (``ValueError`` from the memoryview
-store on the scalar paths, ``OverflowError`` from the array store on
-the vectorized scatter) instead of wrapping (the object backend's
-Python ints keep going; the paper's ``n`` sits far below either
-bound).
+comparison. Totals beyond int64 are out of the kernel's domain: batches
+whose event total nears it take the per-item path (see ``_cut``), and
+``add`` refuses any item that would take ``events`` past 2**63-1 with
+``OverflowError`` — so no counter, and no subtree sum a merge pass
+computes, can wrap (the object backend's Python ints keep going; the
+paper's ``n`` sits far below the bound).
 
 Validation: ``check_invariants`` (which ``combine_many`` runs on every
 snapshot fold) checks the whole structural contract on the columns,
@@ -596,8 +596,9 @@ class ColumnarRapTree:
         The incremental splices (split inserts in ``_sync_cover``, the
         merge remap in ``_merge_frontier``) keep the live index equal to
         this derivation; ``check_invariants`` asserts exactly that, so
-        this is the oracle, not a maintenance path. Its one other caller
-        builds the index of an attached tree on first use.
+        this is the oracle, not a maintenance path. Its one other use
+        builds the index of an attached or bootstrapped tree on first
+        use.
 
         A node owns the parts of its range no child covers: its first
         value unless its first child starts there, and the value after
@@ -643,7 +644,8 @@ class ColumnarRapTree:
         a fresh child that itself split later in the same batch
         contributes no segment (its own children do).
 
-        A tree wrapped by :meth:`attach_columns` has no cover index yet
+        A tree wrapped by :meth:`attach_columns` or built by
+        :meth:`bootstrap_counted_arrays` has no cover index yet
         (``_cov_starts is None``): folds and estimates never read it, so
         it is built here, from the chains, the first time something does.
         """
@@ -1077,7 +1079,8 @@ class ColumnarRapTree:
         same closed-form split crossing points, same mid-count merge
         triggers, same descent semantics. A non-integral ``value`` or
         ``count`` (``5.5``, NaN, a float array's item) raises
-        ``TypeError``, as on the object backend.
+        ``TypeError``, as on the object backend. Unlike it, an item that
+        would take ``events`` past 2**63-1 raises ``OverflowError``.
         """
         if self._confined_ident is not None:
             self._assert_owner()
@@ -1088,6 +1091,11 @@ class ColumnarRapTree:
         if value < 0 or value > self._root_hi:
             raise ValueError(
                 f"value {value} outside universe [0, {self._root_hi}]"
+            )
+        if self._events + count > _INT64_MAX:
+            raise OverflowError(
+                f"{count} more events on {self._events} would take the "
+                "tree past its int64 counter domain"
             )
         self._absorb_slot(self._deepest_slot(value), value, count)
         self._generation += 1
@@ -1267,9 +1275,9 @@ class ColumnarRapTree:
 
         Observably identical to
         ``add_counted(list(zip(values.tolist(), counts.tolist())))``
-        without ever building the pair list. This is the process
-        executor's frame path: shard workers ingest ``(values, counts)``
-        ndarray frames straight off their ring.
+        without ever building the pair list. This is the online path of
+        the runtime's ingest stage (:class:`repro.core.combine.IngestStage`):
+        every window the bootstrap does not build lands here.
         """
         values = np.asarray(values)
         counts = np.asarray(counts)
@@ -1378,13 +1386,14 @@ class ColumnarRapTree:
         catch-up merge, leaving the merge schedule where any online
         ingest of ``n`` events would have left it.
 
-        This is the process executor's first-flush path: a shard
-        worker's combining buffer hands the whole opening window to the
-        empty shard tree in one frame, and building that tree directly
-        is several times cheaper than cascading 30k+ deposits through
-        a cold tree that splits under nearly every one. Callers that
-        need the online shape (``add_counted_arrays`` is documented
-        observably identical to ``add_counted``) must not use this.
+        This is the runtime's first-flush path: a shard's ingest stage
+        (:class:`repro.core.combine.IngestStage`) hands its whole
+        opening window to the empty shard tree in one frame, and
+        building that tree directly is several times cheaper than
+        cascading the window's deposits through a cold tree that splits
+        under nearly every one. Callers that need the online shape
+        (``add_counted_arrays`` is documented observably identical to
+        ``add_counted``) must not use this.
 
         Returns ``True`` when the bulk build ran. Returns ``False`` —
         tree untouched — when a precondition fails: the tree is not
@@ -1423,17 +1432,8 @@ class ColumnarRapTree:
 
         created = 0
         bursts = 0
-        # Cover segments, collected level by level as the build walks
-        # down: a leaf's whole range, and each burst parent's runs of
-        # empty cells (cell-aligned by construction), sorted once at
-        # the end. ``_rebuild_cover`` stays the oracle this collection
-        # is checked against (``check_invariants``).
-        cover_start_parts: List[np.ndarray] = []
-        cover_owner_parts: List[np.ndarray] = []
         if total <= floor_t or self._root_hi == 0:
             self._v_counts[0] = total
-            cover_start_parts.append(self._los[:1].astype(np.uint64))
-            cover_owner_parts.append(np.zeros(1, dtype=np.int64))
         else:
             # Root level in exact Python ints — the root's width (the
             # whole universe) can overflow the uint64 cell arithmetic
@@ -1447,16 +1447,6 @@ class ColumnarRapTree:
             bounds[-1] = varr.size
             bounds[1:-1] = np.searchsorted(varr, cell_lo[1:])
             mass = cum[bounds[1:]] - cum[bounds[:-1]]
-            # Root-owned segments: each maximal run of empty cells is
-            # one gap (emit() merges consecutive empty cells too).
-            root_gap = mass == 0
-            root_run = root_gap.copy()
-            root_run[1:] &= ~root_gap[:-1]
-            if root_run.any():
-                cover_start_parts.append(cell_lo[root_run])
-                cover_owner_parts.append(
-                    np.zeros(int(root_run.sum()), dtype=np.int64)
-                )
             keep = np.flatnonzero(mass)
             sel_lo = cell_lo[keep]
             sel_hi = cell_hi[keep]
@@ -1493,13 +1483,7 @@ class ColumnarRapTree:
                 self._size += spawned
                 created += spawned
                 leaf = item | (sel_mass <= floor_t)
-                leaf_slots = slots[leaf]
-                self._counts[leaf_slots] = sel_mass[leaf]
-                if leaf_slots.size:
-                    cover_start_parts.append(
-                        sel_lo[leaf].astype(np.uint64, copy=False)
-                    )
-                    cover_owner_parts.append(leaf_slots)
+                self._counts[slots[leaf]] = sel_mass[leaf]
                 recurse = np.flatnonzero(~leaf)
                 if recurse.size == 0:
                     break
@@ -1538,20 +1522,6 @@ class ColumnarRapTree:
                         )[short]
                 mass = cum[idx[:, 1:]] - cum[idx[:, :-1]]
                 nonzero = mass > 0
-                # Parent-owned segments: runs of empty *valid* cells
-                # (columns past a narrow parent's cell count are
-                # padding, not range).
-                valid = (
-                    np.arange(branching, dtype=np.int64)[None, :]
-                    < cells_n[:, None]
-                )
-                gap = ~nonzero & valid
-                gap_run = gap.copy()
-                gap_run[:, 1:] &= ~gap[:, :-1]
-                g_rows, g_cols = np.nonzero(gap_run)
-                if g_rows.size:
-                    cover_start_parts.append(starts[g_rows, g_cols])
-                    cover_owner_parts.append(parent_slots[g_rows])
                 flat = np.flatnonzero(nonzero.ravel())
                 rows = flat // branching
                 cols = flat - rows * branching
@@ -1569,14 +1539,10 @@ class ColumnarRapTree:
         self._stats.splits += bursts
         self._generation += 1
         self._cached_slot = 0
-        starts_all = np.concatenate(cover_start_parts)
-        owners_all = np.concatenate(cover_owner_parts)
-        # Segment starts are globally unique (one deepest owner per
-        # position), so this ordering is deterministic; stable only to
-        # make that self-evident.
-        order = np.argsort(starts_all, kind="stable")
-        self._cov_starts = starts_all[order]
-        self._cov_owner = owners_all[order]
+        # No cover index yet: ``_sync_cover`` derives it from the chains
+        # (``_rebuild_cover``) the first time something reads it.
+        self._cov_starts = None
+        self._cov_owner = None
         if self._scheduler.due(self._events):
             self.merge_now()
         return True

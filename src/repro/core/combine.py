@@ -32,19 +32,32 @@ closure "every cell of every strict ancestor of a nonzero range", which
 numpy computes level by level. Any other mix of inputs folds through the
 object tree, one descent per nonzero node. Both paths produce the same
 ``dump_tree``; the columnar one returns a ``ColumnarRapTree``.
+
+Combining also runs *before* a tree sees its events:
+:class:`IngestStage` is the one ingest stage of every runtime shard —
+the paper's event-combining buffer (Section 3.3, stage 0). It buffers
+frames up to ``_COMBINE_WINDOW`` events, duplicate-combines the window
+with :func:`combine_frames` and builds a fresh tree offline
+(``bootstrap_counted_arrays``) or feeds a grown one online
+(``add_counted_arrays``). The serial executor runs it on the calling
+thread, the process executor inside each shard worker; that is the only
+difference between them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .backend import TreeBackend
-from .columnar import ColumnarRapTree
+from .columnar import _INT64_MAX, ColumnarRapTree
 from .config import RapConfig
 from .node import RapNode, partition_range
 from .tree import RapTree
+
+#: One buffered frame: values, and their counts (None for raw events).
+Frame = Tuple[np.ndarray, Optional[np.ndarray]]
 
 
 def combine_trees(
@@ -188,35 +201,135 @@ def _add_at_range(tree: RapTree, lo: int, hi: int, count: int) -> None:
     tree._generation += 1  # noqa: SLF001 - fold owns the new tree
 
 
-def combine_frames(
-    raw: List[np.ndarray],
-    counted: List[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
+#: Combining-window flush threshold, in buffered events. One constant
+#: for every executor, chosen by measurement on the benchmark
+#: workloads: 2**14 keeps every end-to-end metric inside its bound,
+#: while 2**17 ingests faster but moves the worst undercount of gcc
+#: code streams too close to its bound. Flush points depend only on
+#: the frame sequence, never on timing, so the built tree stays a pure
+#: function of the stream.
+_COMBINE_WINDOW = 1 << 14
+
+
+class IngestStage:
+    """The ingest stage of one shard tree: the event-combining buffer.
+
+    The paper's event-combining buffer (Section 3.3, stage 0) stretched
+    across frames. :meth:`push` buffers one frame — raw values, or
+    values with their counts — and flushes once the buffer holds at
+    least ``_COMBINE_WINDOW`` events; :meth:`flush` also runs on
+    demand. A flush empties the buffer first (so a poisoned window
+    cannot cascade into later ones), duplicate-combines it in one array
+    pass (:func:`combine_frames`) and feeds the sorted counted window to
+    the tree: a fresh tree is built offline by
+    :meth:`~repro.core.columnar.ColumnarRapTree.bootstrap_counted_arrays`,
+    any other — or a window the bootstrap declines — takes the online
+    ``add_counted_arrays`` kernel. The bootstrap stays because it wins
+    on both accuracy and cold-start time.
+
+    Both executors run this stage, one per shard: the serial executor on
+    the calling thread, the process executor inside each shard worker.
+    Buffered frames may be borrowed views (ring memory, a caller's
+    array); :meth:`materialize` copies them into owned arrays.
+    """
+
+    def __init__(self, tree: ColumnarRapTree) -> None:
+        self.tree = tree
+        self._frames: List[Frame] = []
+        self._buffered = 0
+
+    @property
+    def frames_held(self) -> int:
+        """Frames buffered since the last flush."""
+        return len(self._frames)
+
+    def push(
+        self, values: np.ndarray, counts: Optional[np.ndarray] = None
+    ) -> None:
+        """Buffer one frame (raw when ``counts`` is None); flush at W."""
+        self._frames.append((values, counts))
+        if counts is None:
+            self._buffered += len(values)
+        else:
+            self._buffered += int(counts.sum(dtype=np.float64))
+        if self._buffered >= _COMBINE_WINDOW:
+            self.flush()
+
+    def flush(self) -> None:
+        """Combine everything buffered and apply it to the tree."""
+        frames, self._frames, self._buffered = self._frames, [], 0
+        if frames:
+            values, counts = combine_frames(frames)
+            if not self.tree.bootstrap_counted_arrays(values, counts):
+                self.tree.add_counted_arrays(values, counts)
+
+    def materialize(self) -> None:
+        """Copy buffered views into owned arrays (flush points unchanged)."""
+        self._frames = [
+            (np.array(values), None if counts is None else np.array(counts))
+            for values, counts in self._frames
+        ]
+
+
+def _window_values(parts: List[np.ndarray]) -> np.ndarray:
+    """One value column for a window, without leaving the integers.
+
+    numpy joins ``uint64`` with a signed column in ``float64``, which
+    rounds values past 2**53 and hands the tree floats. A mixed window
+    is joined in ``uint64`` instead — or, when a signed part holds a
+    negative value (or a part is not integral at all), in Python ints,
+    so the tree raises its own range error for it rather than seeing
+    it wrapped into the universe.
+    """
+    if len({part.dtype for part in parts}) > 1:
+        unsigned = all(
+            part.dtype.kind == "u"
+            or (part.dtype.kind == "i" and not (part.size and part.min() < 0))
+            for part in parts
+        )
+        wide = np.uint64 if unsigned else object
+        parts = [part.astype(wide) for part in parts]
+    return np.concatenate(parts)
+
+
+def combine_frames(frames: List[Frame]) -> Tuple[np.ndarray, np.ndarray]:
     """Duplicate-combine buffered frames into one sorted counted frame.
 
     The paper's event-combining buffer (Section 3.3, stage 0) as one
-    array pass: ``raw`` frames weight each occurrence 1; ``counted``
-    frames carry explicit counts. The result is exactly ``np.unique``
-    with counts over the concatenated expansion — ascending values,
-    summed weights — without ever materializing the expansion. Dtypes
-    pass through untouched: ``add_counted_arrays`` owns validation, so
-    malformed values raise there exactly as they would have frame by
-    frame.
+    array pass over ``(values, counts)`` frames: a raw frame
+    (``counts`` None) weights each occurrence 1, a counted frame
+    carries explicit counts. The result is exactly ``np.unique`` with
+    counts over the concatenated expansion — ascending values, summed
+    weights — without ever materializing the expansion. Values are left
+    to ``add_counted_arrays`` to validate (see :func:`_window_values`
+    for mixed dtypes). Counts are checked here, because summing can
+    hide a bad one: a count below one raises the tree's ``ValueError``,
+    and a summed count past the int64 counter domain raises
+    ``OverflowError`` instead of wrapping.
     """
-    if not counted:
-        uniques, counts = np.unique(
-            np.concatenate(raw), return_counts=True
-        )
+    values = _window_values([values for values, _ in frames])
+    if all(counts is None for _, counts in frames):
+        uniques, counts = np.unique(values, return_counts=True)
         return uniques, counts.astype(np.int64, copy=False)
-    parts = list(raw) + [values for values, _ in counted]
-    weights = [
-        np.ones(len(values), dtype=np.int64) for values in raw
-    ] + [counts for _, counts in counted]
-    uniques, inverse = np.unique(
-        np.concatenate(parts), return_inverse=True
-    )
+    weights = np.concatenate([
+        np.ones(len(values), dtype=np.int64) if counts is None else counts
+        for values, counts in frames
+    ])
+    least = int(weights.min())
+    if least < 1:
+        raise ValueError(f"count must be positive, got {least}")
+    uniques, inverse = np.unique(values, return_inverse=True)
     combined = np.zeros(uniques.size, dtype=np.int64)
-    np.add.at(combined, inverse, np.concatenate(weights))
+    np.add.at(combined, inverse, weights)
+    if int(weights.max()) * weights.size > _INT64_MAX:
+        # Some value's summed count may have wrapped: sum exactly.
+        exact = np.zeros(uniques.size, dtype=object)
+        np.add.at(exact, inverse, weights.astype(object))
+        if exact.max() > _INT64_MAX:
+            raise OverflowError(
+                f"combined count {exact.max()} is past the int64 counter "
+                f"domain (at most {_INT64_MAX})"
+            )
     return uniques, combined
 
 

@@ -7,11 +7,11 @@ where the shard trees live:
 
 .. code-block:: text
 
-    ingest(values)                       calling thread, ingest lock held
+    ingest(values)                     calling thread, ingest lock held
         └─ partition (numpy, one pass)
-             ├─ serial:  combine_frames ── columnar shard 0..N-1, inline
-             └─ process: ring[i] ── worker process i ── columnar shard i
-                         (shared memory)  (combine_frames) (shared memory)
+             ├─ serial:  IngestStage[i] ── columnar shard i, inline
+             └─ process: ring[i] ── worker i: IngestStage[i] ── shard i
+                         (shared memory)          (shared-memory columns)
     snapshot()  =  quiesce every shard, then fold the shard trees
                    with ``combine_many`` into one consistent tree
 
@@ -19,9 +19,10 @@ The executor is selected uniformly through the config —
 ``RapConfig(executor="serial"|"process", shards=N)`` — with the
 constructor keywords as call-site overrides:
 
-* ``"serial"`` (default) partitions each chunk, duplicate-combines it
-  per shard and applies it inline on the calling thread. Shard trees
-  live in this process and are mutated only under the ingest lock.
+* ``"serial"`` (default) runs each shard's ingest stage inline on the
+  calling thread and flushes every stage before an ingest call
+  returns. Shard trees live in this process and are mutated only under
+  the ingest lock.
 * ``"process"`` runs one worker process per shard: each worker owns a
   columnar tree whose columns live in shared memory
   (:mod:`repro.runtime.shm`), fed binary
@@ -32,17 +33,18 @@ constructor keywords as call-site overrides:
   to be unavailable at ``open()``, the profiler reaps its workers and
   runs as ``"serial"`` instead (with a ``RuntimeWarning``).
 
-Both executors ingest arrays only: a chunk is split with the
-partitioner's vectorized assignment and each shard's part is
-duplicate-combined by :func:`repro.core.combine.combine_frames` before
-``add_counted_arrays`` (the serial executor per chunk, the worker per
-combining window); a single serial shard feeds its raw chunk to
-``extend``. Shard trees are always columnar, whatever
-``config.backend`` says: the object tree builds the identical profile
-(``dump_tree`` equality is pinned) and stays the reference oracle in
-tests, experiments and the hardware model. Non-integral input (float
-or complex data) raises ``TypeError`` before any event of the call is
-applied.
+Both executors run one ingest stage: a chunk is split with the
+partitioner's vectorized assignment, and each shard's part goes to that
+shard's :class:`repro.core.combine.IngestStage`, which duplicate-combines
+whole windows of parts and bootstraps a fresh tree offline. The
+executors differ only in where the stage runs and when it is told to
+flush — the serial executor at the end of every ingest call, a worker
+at every sync — so under ``block`` a serial and a process profiler
+given the same calls, each followed by a sync, build identical shards.
+Shard trees are always columnar, whatever ``config.backend`` says; the
+object tree stays the reference oracle in tests, experiments and the
+hardware model. Non-integral input (float or complex data) raises
+``TypeError`` before any event of the call is applied.
 
 Lifecycle: ``open() → ingest()* → snapshot()* → close()``; the object
 is also a context manager. ``query(lo, hi)`` is sugar for
@@ -97,7 +99,7 @@ import numpy as np
 
 from ..core.backend import TreeBackend
 from ..core.config import RapConfig
-from ..core.combine import combine_frames, combine_many
+from ..core.combine import IngestStage, combine_many
 from ..core.serialize import FRAME_BATCH, FRAME_CBATCH
 from ..core.tree import RapTree
 from .metrics import RuntimeMetrics, ShardMetrics
@@ -371,10 +373,11 @@ class Profiler:
             self._ingest_lock = self._sanitizer.track_lock(
                 self._ingest_lock, "Profiler._ingest_lock"
             )
-        # In-process shard trees (serial executor). Under the process
-        # executor the trees live in the workers; the parent holds
-        # per-shard sync state instead.
+        # In-process shard trees and their ingest stages (serial
+        # executor). Under the process executor both live in the
+        # workers; the parent holds per-shard sync state instead.
         self._trees: List[RapTree] = []
+        self._stages: List[IngestStage] = []
         if executor == "serial":
             self._build_trees()
         # Process-executor plumbing: one worker process, control pipe,
@@ -406,11 +409,12 @@ class Profiler:
         self._snapshot_epoch: Optional[Tuple[int, ...]] = None
 
     def _build_trees(self) -> None:
-        """Create the in-process shard trees (serial executor)."""
+        """Create the in-process shard trees and stages (serial executor)."""
         self._trees = [
             RapTree.from_config(self._shard_config)
             for _ in range(self._shards)
         ]
+        self._stages = [IngestStage(tree) for tree in self._trees]
         if self._sanitizer is not None:
             for index, tree in enumerate(self._trees):
                 self._sanitizer.attach_tree(
@@ -702,11 +706,12 @@ class Profiler:
         """Feed raw event values (any iterable of ints or numpy array).
 
         Values are chopped into chunks of ``batch_size`` and partitioned
-        to shards. The serial executor duplicate-combines each shard's
-        part and applies it inline; the process executor writes the raw
-        parts into the shard rings. Returns once every chunk is
-        accepted — which, under ``block`` backpressure, may wait for
-        ring space. Float or complex data raises ``TypeError``.
+        to shards. The serial executor buffers each shard's part in its
+        ingest stage and applies every stage before returning; the
+        process executor writes the raw parts into the shard rings.
+        Returns once every chunk is accepted — which, under ``block``
+        backpressure, may wait for ring space. Float or complex data
+        raises ``TypeError``.
         """
         self._check_ingestible()
         column = _integer_column(values, "event values")
@@ -715,8 +720,15 @@ class Profiler:
         with self._ingest_lock:
             self._check_ingestible()
             step = self._batch_size
-            for at in range(0, len(column), step):
-                self._dispatch_chunk(column[at:at + step])
+            try:
+                for at in range(0, len(column), step):
+                    for shard, part in enumerate(
+                        self._partitioner.split(column[at:at + step])
+                    ):
+                        if len(part):
+                            self._deliver(shard, part, None)
+            finally:
+                self._flush_stages()
         if clock is not None:
             self._ingest_seconds += clock() - start
 
@@ -740,54 +752,53 @@ class Profiler:
         with self._ingest_lock:
             self._check_ingestible()
             assignment = self._partitioner.assign(values)
-            for shard in range(self._shards):
-                mine = assignment == shard
-                if mine.any():
-                    self._deliver(shard, values[mine], counts[mine])
+            try:
+                for shard in range(self._shards):
+                    mine = assignment == shard
+                    if mine.any():
+                        self._deliver(shard, values[mine], counts[mine])
+            finally:
+                self._flush_stages()
         if clock is not None:
             self._ingest_seconds += clock() - start
-
-    def _dispatch_chunk(self, chunk: np.ndarray) -> None:
-        if self._executor == "serial" and self._shards == 1:
-            # Single-shard passthrough: no partition, no combine — the
-            # same per-event path a bare tree takes (and the honest
-            # baseline the multi-shard benchmark compares against).
-            self._trees[0].extend(chunk)
-            self._shard_events[0] += len(chunk)
-            self._shard_batches[0] += 1
-            return
-        for shard, part in enumerate(self._partitioner.split(chunk)):
-            if len(part):
-                self._deliver(shard, part, None)
 
     def _deliver(
         self, shard: int, values: np.ndarray, counts: Optional[np.ndarray]
     ) -> None:
         """Hand one shard's part (raw when ``counts`` is None) to it.
 
-        Serial: duplicate-combine it and apply it to the in-process
-        tree. Process: write it into the shard's ring as-is — the
-        worker combines whole windows of frames (see ``worker_main``),
+        Serial: push it into the shard's ingest stage. Process: write it
+        into the shard's ring as-is; the worker's stage takes it there,
         which also moves the combining sort off the dispatching thread.
         """
+        if counts is None:
+            weight = len(values)
+        else:
+            weight = int(counts.sum(dtype=object))  # exact past int64
         if self._executor == "process":
-            if counts is None:
-                kind, weight = FRAME_BATCH, len(values)
-            else:
-                kind, weight = FRAME_CBATCH, int(counts.sum())
+            kind = FRAME_BATCH if counts is None else FRAME_CBATCH
             self._submit_ring(
                 shard, kind, _frame_values(values), counts, weight
             )
             return
-        if counts is None:
-            combined = combine_frames([values], [])
-        else:
-            combined = combine_frames([], [(values, counts)])
-        tree = self._trees[shard]
-        before = tree.events
-        tree.add_counted_arrays(*combined)
-        self._shard_events[shard] += tree.events - before
+        self._shard_events[shard] += weight
         self._shard_batches[shard] += 1
+        self._stages[shard].push(values, counts)
+
+    def _flush_stages(self) -> None:
+        """Apply every serial stage's window (end of an ingest call).
+
+        Every stage is flushed even when one fails, so no window
+        outlives the call that filled it; the first failure is raised.
+        """
+        failure: Optional[BaseException] = None
+        for stage in self._stages:
+            try:
+                stage.flush()
+            except BaseException as error:
+                failure = failure or error
+        if failure is not None:
+            raise failure
 
     def _submit_ring(
         self,

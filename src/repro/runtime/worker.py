@@ -10,20 +10,17 @@ binary counted frames (:mod:`repro.core.serialize`), decoded as
 read-only ndarray *views* over ring memory — zero copies until the
 combining flush.
 
-Frames are *buffered*, not ingested one by one: the worker accumulates
-them in a combining buffer and duplicate-combines the whole buffered
-substream in a single ``np.unique`` pass
-(:func:`repro.core.combine.combine_frames`, the same combine the serial
-executor runs per chunk) right before feeding one sorted counted frame
-to ``add_counted_arrays`` — the paper's event-combining buffer
-(Section 3.3, stage 0) stretched across frames, which is where the
-process executor's ingest advantage comes from. The
-buffer flushes when it holds ``_COMBINE_WINDOW`` events and at every
-sync, so its memory is bounded and its flush points are a pure function
-of the frame sequence (ring order = producer dispatch order): repeat
-runs build bit-identical trees. Pre-counted frames (the
-``ingest_counted`` path) enter the same buffer with their counts as
-weights. An ingest failure is remembered and surfaced on the next sync.
+Frames are *buffered*, not ingested one by one: the worker runs the
+shard's ingest stage (:class:`repro.core.combine.IngestStage`, the same
+stage the serial executor runs on the calling thread), which
+duplicate-combines whole windows of frames before the tree sees them —
+the paper's event-combining buffer (Section 3.3, stage 0). The stage
+flushes when its window fills and the worker flushes it at every sync,
+so flush points are a pure function of the frame sequence (ring order =
+producer dispatch order): repeat runs build bit-identical trees, and a
+serial profiler given the same calls, each followed by a sync, builds
+the same shards. An ingest failure is remembered, every later data
+frame is dropped, and the failure is surfaced on the next sync.
 
 Sync markers travel *in-band* through the ring, so they order behind
 every data frame by construction. A sync flushes the buffer and replies
@@ -57,24 +54,16 @@ from __future__ import annotations
 
 import gc
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.combine import combine_frames
+from ..core.combine import IngestStage
 from ..core.config import RapConfig
 from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the worker owns its shard kernel: the shm allocator hook and column_state/attach protocol are columnar-only by design
-from ..core.serialize import FRAME_CBATCH, FRAME_SYNC
+from ..core.serialize import FRAME_SYNC
 from .ring import RingConsumer
 from .shm import ShmArena, ShmAttachment
-
-# Combining-buffer flush threshold, in buffered events. Large enough
-# that a typical drain-bounded burst coalesces into one tree pass,
-# small enough to bound worker memory under sustained overload (2**17
-# uint64 values is 1 MiB). Flushes depend only on the frame sequence,
-# never on timing, so the built tree stays a pure function of the
-# stream.
-_COMBINE_WINDOW = 1 << 17
 
 # How long the ring consumer parks on the control pipe when the ring is
 # empty. The producer nudges the pipe ("wake") whenever it writes into
@@ -86,25 +75,21 @@ _RING_IDLE_POLL = 0.05
 
 
 def _warm_ingest_path(config: RapConfig) -> None:
-    """Exercise the flush pipeline once on a scratch tree (then drop it).
+    """Drive the ingest stage once on a scratch tree (then drop it).
 
-    Runs the exact code the first real flush runs — cross-frame
-    combining, the offline bootstrap build, the online counted kernel —
-    over a tiny synthetic stream on heap-backed columns. Purely a
-    warm-up: nothing escapes, and the profiler's trees are untouched.
+    Runs the code the first real flushes run — cross-frame combining,
+    the offline bootstrap build, the online counted kernel — over a
+    tiny synthetic stream on heap-backed columns. Purely a warm-up:
+    nothing escapes, and the profiler's trees are untouched.
     """
     try:
         span = min(4096, config.range_max)
-        values = (np.arange(2048, dtype=np.uint64) * 7) % span
-        uniques, counts = combine_frames(
-            [values], [(np.arange(8, dtype=np.uint64), np.ones(8, np.int64))]
-        )
-        scratch = ColumnarRapTree(config)
-        if not scratch.bootstrap_counted_arrays(uniques, counts):
-            scratch.add_counted_arrays(uniques, counts)
-        scratch.add_counted_arrays(
-            np.arange(16, dtype=np.uint64), np.full(16, 2, dtype=np.int64)
-        )
+        stage = IngestStage(ColumnarRapTree(config))
+        stage.push((np.arange(2048, dtype=np.uint64) * 7) % span)
+        stage.push(np.arange(8, dtype=np.uint64), np.ones(8, np.int64))
+        stage.flush()
+        stage.push(np.arange(16, dtype=np.uint64), np.full(16, 2, np.int64))
+        stage.flush()
     except BaseException:
         # Best-effort by definition: a failed warm-up must never take
         # the worker down — the real stream decides what actually fails.
@@ -162,64 +147,35 @@ def worker_main(
     _send_quietly(conn, ("ready", None))
 
     failed: Optional[str] = None
-    pending_raw: List[np.ndarray] = []
-    pending_counted: List[Tuple[np.ndarray, np.ndarray]] = []
-    buffered = 0
+    stage = IngestStage(tree)
 
-    def flush() -> None:
-        # One combining pass over everything buffered, then one tree
-        # ingest. Buffers are cleared even on failure (and after one,
-        # dropped unprocessed) so a poisoned batch cannot cascade into
-        # misleading follow-ups or pin memory.
-        nonlocal failed, buffered
-        raw = pending_raw[:]
-        counted = pending_counted[:]
-        pending_raw.clear()
-        pending_counted.clear()
-        buffered = 0
-        if failed is not None or not (raw or counted):
-            return
-        try:
-            values, counts = combine_frames(raw, counted)
-            # First flush on a fresh tree: build the partition offline
-            # in one pass (same bounds, far cheaper than cascading a
-            # cold tree through per-event splits). Preconditions not
-            # met — or any later flush — take the online kernel.
-            if not (
-                tree.events == 0
-                and tree.bootstrap_counted_arrays(values, counts)
-            ):
-                tree.add_counted_arrays(values, counts)
-        except BaseException:
-            # Remembered, reported on the next sync.
-            failed = traceback.format_exc()
-
-    def materialize() -> None:
-        # Copy buffered ring views into worker-owned arrays so the ring
-        # bytes under them can be released early (congestion relief).
-        # Invisible to the tree: flush points and the combined stream
-        # are unchanged — this only rebinds where the bytes live.
-        pending_raw[:] = [np.array(part) for part in pending_raw]
-        pending_counted[:] = [
-            (np.array(values), np.array(counts))
-            for values, counts in pending_counted
-        ]
+    def guarded(step: Callable[..., None], *args: Any) -> None:
+        # A failure is remembered, reported on the next sync, and every
+        # later data frame is dropped unprocessed. The stage empties its
+        # window before it combines, so a failed flush holds nothing.
+        nonlocal failed
+        if failed is None:
+            try:
+                step(*args)
+            except BaseException:
+                failed = traceback.format_exc()
 
     def ring_loop(consumer: RingConsumer) -> None:
         # Data and sync frames arrive in-band through the ring; the
         # pipe is polled only when the ring runs empty, and then with a
         # timeout, so a "wake" nudge (or the backstop timeout) gets the
         # worker back onto the ring. Frames are *views* into ring
-        # memory: the ring bytes are released right after each flush
-        # copies them out, or copied aside (``materialize``) if the
-        # buffered window starts crowding the producer.
-        nonlocal failed, buffered
+        # memory: the ring bytes are released as soon as the stage
+        # holds none of them (after a flush), or copied aside
+        # (``materialize``) if the buffered window starts crowding the
+        # producer.
+        nonlocal failed
         congested = consumer.capacity // 2
         while True:
             frame = consumer.try_next()
             if frame is not None:
                 if frame.kind == FRAME_SYNC:
-                    flush()
+                    guarded(stage.flush)
                     consumer.release()
                     conn.send((
                         "synced",
@@ -229,17 +185,11 @@ def worker_main(
                         ),
                     ))
                     continue
-                if frame.kind == FRAME_CBATCH:
-                    pending_counted.append((frame.values, frame.counts))
-                    buffered += int(np.sum(frame.counts))
-                else:
-                    pending_raw.append(frame.values)
-                    buffered += len(frame.values)
-                if buffered >= _COMBINE_WINDOW:
-                    flush()
+                guarded(stage.push, frame.values, frame.counts)
+                if not stage.frames_held:
                     consumer.release()
                 elif consumer.bytes_held > congested:
-                    materialize()
+                    stage.materialize()
                     consumer.release()
                 continue
             try:
@@ -252,7 +202,7 @@ def worker_main(
                     # on a consumer that is parked waiting for it —
                     # a standoff neither side can break.
                     if consumer.bytes_held:
-                        materialize()
+                        stage.materialize()
                         consumer.release()
                     continue
                 message = conn.recv()
@@ -274,9 +224,7 @@ def worker_main(
         # before unlinking, so the segments can actually close. The
         # sanitizer's method wrappers form a reference cycle with the
         # tree, so a collect is needed to actually release the views.
-        del tree
-        pending_raw.clear()
-        pending_counted.clear()
+        del tree, stage
         gc.collect()
         arena.close()
         if ring_attachment is not None:

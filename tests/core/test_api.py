@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core import rap_add_points, rap_finalize, rap_init
+from repro.core import (
+    RapTree,
+    dump_tree,
+    rap_add_points,
+    rap_finalize,
+    rap_init,
+)
+from repro.core.combine import IngestStage
 
 # The v1 trio warns by design; TestDeprecationShim asserts the warnings
 # explicitly, the legacy-contract tests below just ignore them.
@@ -146,3 +154,27 @@ class TestDeprecationShim:
         assert profiler.shards == 1
         rap_add_points(profile, [5] * 10)
         assert profiler.snapshot().events == 10
+
+    def test_each_batch_is_one_ingest_stage_window(self):
+        # Every rap_add_points call is one counted frame through the
+        # profiler's ingest stage, flushed before the call returns: the
+        # first builds the fresh tree offline, later ones go online.
+        rng = np.random.default_rng(11)
+        batches = [
+            [int(v) for v in rng.zipf(1.4, 3_000) % 256],
+            [(int(v), 3) for v in rng.integers(0, 256, 500)] + [7, 7, 9],
+        ]
+        profile = rap_init(256, epsilon=0.05)
+        oracle = IngestStage(
+            RapTree.from_config(profile.tree().config)
+        )
+        for points in batches:
+            rap_add_points(profile, points)
+            pairs = [
+                point if isinstance(point, tuple) else (point, 1)
+                for point in points
+            ]
+            oracle.push(*(np.array(column) for column in zip(*pairs)))
+            oracle.flush()
+        assert dump_tree(profile.tree()) == dump_tree(oracle.tree)
+

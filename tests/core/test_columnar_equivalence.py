@@ -32,6 +32,7 @@ from repro.checks.audit import TreeAuditor
 from repro.core import RapConfig, RapTree, dump_tree, load_tree
 
 UNIVERSE = 2**20
+INT64_MAX = 2**63 - 1
 
 
 def zipf_stream(rng: random.Random, n: int) -> list:
@@ -435,13 +436,34 @@ class TestMalformedInputParity:
 
     @pytest.mark.parametrize("position", [0, 10, 4_000])
     def test_counted_arrays_past_int64(self, position):
-        """A uint64 count past int64 takes the exact per-item path."""
+        """A uint64 count past int64 takes the exact per-item path, which
+        ingests the prefix and refuses the item with ``OverflowError``:
+        the columnar kernel's event total stays inside int64 (the object
+        backend's Python ints would keep going)."""
         pairs = self._pairs("negative", position)
         pairs[position] = (12_345, 2**63)
         values = np.asarray([value for value, _ in pairs], dtype=np.uint64)
         counts = np.asarray([count for _, count in pairs], dtype=np.uint64)
-        self._check(
-            lambda t: t.add_counted(pairs),
-            lambda t: t.add_counted_arrays(values, counts),
-            expect_error=False,
-        )
+        obj, col = both_trees(1e-2)
+        obj.add_counted(pairs[:position])
+        with pytest.raises(OverflowError, match="int64 counter domain"):
+            col.add_counted_arrays(values, counts)
+        assert_equivalent(obj, col)
+
+    def test_event_total_past_int64_is_refused(self):
+        """Counts whose running total leaves int64 are refused item by
+        item instead of wrapping the kernel's subtree sums (which once
+        left ``events == 2**64`` with every counter zero)."""
+        obj, col = both_trees(1e-2)
+        with pytest.raises(OverflowError, match="int64 counter domain"):
+            col.add_batch([(5, 2**63), (9, 2**63)])
+        assert col.events == 0
+        pairs = [(9, 2**62 - 1), (70_000, 2**62)]
+        col.add(5, 2**62)
+        with pytest.raises(OverflowError, match="int64 counter domain"):
+            col.add_batch(pairs)
+        obj.add(5, 2**62)
+        obj.add_batch(pairs[:1])
+        assert col.events == INT64_MAX == obj.events
+        assert col.estimate(0, UNIVERSE - 1) == INT64_MAX
+        assert_equivalent(obj, col)

@@ -304,10 +304,23 @@ def near_int64_tree():
 
 
 def past_int64_tree():
-    """``events`` past 2**63; every node dirty (no cache can hold it)."""
+    """``events`` past 2**63; every node dirty (no cache can hold it).
+
+    Ingest refuses to take a columnar tree past the int64 counter domain
+    (``OverflowError``), so this state is set by hand on a valid tree:
+    one item counter raised to 2**63 - 10, ``events`` following it past
+    2**63 - 1, and every node marked dirty. It is conserved and well
+    formed, so the check must accept it exactly as Python ints do.
+    """
     tree = RapTree.from_config(config(1e-2))
     tree.extend(list(range(0, UNIVERSE, 997)))
-    tree.add_counted([(12_345, 2**63), (700_000, 5)])
+    tree.add_counted([(12_345, 2**62), (700_000, 5)])
+    slot = heaviest(tree)
+    assert tree._is_item[slot]
+    extra = 2**63 - 10 - int(tree._counts[slot])
+    tree._counts[slot] += extra
+    tree._events += extra
+    tree._dirty[live(tree)] = True
     assert tree.events > INT64_MAX
     return tree
 

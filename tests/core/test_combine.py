@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from repro.baselines import ExactProfiler
 from repro.core import ColumnarRapTree, RapConfig, RapTree, dump_tree, load_tree
 from repro.core.combine import (
+    _COMBINE_WINDOW,
+    IngestStage,
     _add_at_range,
+    combine_frames,
     combine_many,
     combine_trees,
     split_stream_profile,
@@ -376,3 +379,94 @@ class TestColumnarFold:
         copy.add(3)
         copy.check_invariants()
         attached[1].check_invariants()
+
+
+def stage_of(universe=2**16, epsilon=0.05) -> IngestStage:
+    return IngestStage(
+        RapTree.from_config(
+            RapConfig(universe, epsilon=epsilon, backend="columnar")
+        )
+    )
+
+
+class TestIngestStage:
+    """The runtime's one ingest stage: window, combine, bootstrap."""
+
+    def test_flushes_once_the_window_fills(self):
+        stage = stage_of()
+        part = np.arange(_COMBINE_WINDOW // 4, dtype=np.uint64)
+        for _ in range(3):
+            stage.push(part)
+        stage.push(part[:10], np.full(10, 2, dtype=np.int64))
+        assert stage.tree.events == 0 and stage.frames_held == 4
+        stage.push(part[: _COMBINE_WINDOW // 4 - 20])
+        assert stage.tree.events == _COMBINE_WINDOW
+        assert stage.frames_held == 0
+        stage.push(part[:5])
+        stage.flush()
+        stage.flush()  # an empty flush is a no-op
+        assert stage.tree.events == _COMBINE_WINDOW + 5
+
+    def test_first_window_bootstraps_and_later_ones_go_online(self):
+        rng = np.random.default_rng(3)
+        first, second = (
+            (rng.zipf(1.3, 3_000) % 2**16).astype(np.uint64)
+            for _ in range(2)
+        )
+        stage = stage_of()
+        stage.push(first[:1_000])
+        stage.push(first[1_000:])
+        stage.flush()
+        stage.push(second)
+        stage.flush()
+        oracle = RapTree.from_config(stage.tree.config)
+        assert oracle.bootstrap_counted_arrays(
+            *np.unique(first, return_counts=True)
+        )
+        oracle.add_counted_arrays(*np.unique(second, return_counts=True))
+        assert dump_tree(stage.tree) == dump_tree(oracle)
+
+    def test_materialize_copies_borrowed_views(self):
+        source = np.arange(100, dtype=np.uint64)
+        stage = stage_of()
+        stage.push(source[:50])
+        stage.push(source[50:], np.ones(50, dtype=np.int64))
+        stage.materialize()
+        source[:] = 7  # the lender reuses its memory
+        stage.flush()
+        assert stage.tree.estimate(0, 99) == 100
+        assert stage.tree.estimate(7, 7) == 1
+
+
+class TestCombineFrames:
+    def test_mixed_dtypes_combine_in_uint64(self):
+        big = np.array([2**53 + 1, 2**63 + 5], dtype=np.uint64)
+        values, counts = combine_frames([
+            (big, None),
+            (np.array([3, 2**53 + 1]), None),
+            (np.array([3], dtype=np.int64), np.array([4])),
+        ])
+        assert values.dtype == np.uint64
+        assert values.tolist() == [3, 2**53 + 1, 2**63 + 5]
+        assert counts.tolist() == [5, 2, 1]
+
+    def test_negative_in_a_mixed_window_hits_the_range_error(self):
+        stage = stage_of()
+        stage.push(np.arange(10, dtype=np.uint64))
+        stage.push(np.array([4, -1]))
+        with pytest.raises(ValueError, match="outside universe"):
+            stage.flush()
+        assert stage.frames_held == 0
+
+    def test_count_below_one_is_refused_before_summing(self):
+        # (5, 3) and (5, -1) would sum to a valid-looking 2.
+        with pytest.raises(ValueError, match="count must be positive"):
+            combine_frames([(np.array([5, 5]), np.array([3, -1]))])
+
+    def test_summed_count_past_int64_raises_overflow(self):
+        with pytest.raises(OverflowError, match="int64 counter domain"):
+            combine_frames([(np.array([5, 5]), np.array([2**62, 2**62]))])
+        values, counts = combine_frames(
+            [(np.array([5, 9]), np.array([2**62, 2**62]))]
+        )
+        assert counts.tolist() == [2**62, 2**62]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import RapConfig, RapTree, combine_many, dump_tree
+from repro.core.combine import _COMBINE_WINDOW, IngestStage
 from repro.runtime import MIN_RING_BYTES, Profiler, make_partitioner
 
 UNIVERSE = 2**16
@@ -67,17 +68,62 @@ class TestLifecycle:
 
 
 class TestSingleShardPassthrough:
+    """One shard: no partition, the shard's ingest stage alone."""
+
     def test_serial_single_shard_matches_bare_tree_exactly(self):
-        values = zipf_values(3, 20_000)
-        oracle = RapTree.from_config(config())
-        oracle.extend(int(v) for v in values)
+        # W-event windows, each duplicate-combined; the opening window
+        # builds the fresh tree offline, every later one goes online,
+        # and the call's tail is flushed before ingest() returns.
+        values = zipf_values(3, 2 * _COMBINE_WINDOW + 3_000)
+        oracle = RapTree.from_config(config(backend="columnar"))
+        windows = [
+            values[at:at + _COMBINE_WINDOW]
+            for at in range(0, len(values), _COMBINE_WINDOW)
+        ]
+        for index, window in enumerate(windows):
+            uniques, counts = np.unique(window, return_counts=True)
+            if index == 0:
+                assert oracle.bootstrap_counted_arrays(uniques, counts)
+            else:
+                oracle.add_counted_arrays(uniques, counts)
         with Profiler(config(), shards=1, executor="serial") as profiler:
             profiler.ingest(values)
             snapshot = profiler.snapshot()
-        assert snapshot.events == oracle.events
-        assert [
-            (n.lo, n.hi, n.count) for n in snapshot.nodes()
-        ] == [(n.lo, n.hi, n.count) for n in oracle.nodes()]
+        assert snapshot.events == oracle.events == len(values)
+        assert dump_tree(snapshot) == dump_tree(oracle)
+
+    def test_serial_single_shard_within_bound_of_exact_counts(self):
+        # Calls below and above W, raw and counted, each answered: every
+        # snapshot is a lower bound within epsilon * n of exact counts.
+        eps = config().epsilon
+        rng = np.random.default_rng(5)
+        seen = []
+        with Profiler(config(), shards=1, executor="serial") as profiler:
+            for seed, size in ((7, 5_000), (11, 40_000), (13, 900)):
+                chunk = zipf_values(seed, size)
+                profiler.ingest(chunk)
+                seen.append(chunk)
+                pairs = [(int(v), int(c)) for v, c in zip(
+                    rng.integers(0, UNIVERSE, 50), rng.integers(1, 40, 50)
+                )]
+                profiler.ingest_counted(pairs)
+                seen.append(np.repeat(
+                    np.array([v for v, _ in pairs], dtype=np.uint64),
+                    [c for _, c in pairs],
+                ))
+                exact = np.sort(np.concatenate(seen))
+                snapshot = profiler.snapshot()
+                assert snapshot.events == exact.size
+                for _ in range(40):
+                    lo = int(rng.integers(0, UNIVERSE))
+                    hi = int(rng.integers(lo, UNIVERSE))
+                    truth = int(
+                        np.searchsorted(exact, hi, side="right")
+                        - np.searchsorted(exact, lo)
+                    )
+                    estimate = snapshot.estimate(lo, hi)
+                    assert estimate <= truth, (lo, hi)
+                    assert truth - estimate <= eps * exact.size, (lo, hi)
 
     def test_snapshot_does_not_alias_the_live_tree(self):
         with Profiler(config(), shards=1, executor="serial") as profiler:
@@ -89,8 +135,8 @@ class TestSingleShardPassthrough:
 
 
 class TestColumnarRuntime:
-    """Shard trees are columnar on every executor; the object tree,
-    fed the same operations, is the oracle for their shape."""
+    """Shard trees are columnar on every executor, each fed by its own
+    ingest stage."""
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_default_config_snapshots_are_columnar(self, executor):
@@ -101,9 +147,15 @@ class TestColumnarRuntime:
         assert snapshot.events == 5_000
 
     @pytest.mark.parametrize("shards", [1, 3])
-    def test_serial_snapshot_matches_the_object_oracle(self, shards):
+    def test_serial_shards_match_window_fed_trees(self, shards):
+        # The serial contract: every shard is a bare columnar tree fed
+        # through an IngestStage — each shard's part of every chunk
+        # pushed in order, the stage flushed at the end of every call.
         batch = 1024
-        chunks = [zipf_values(seed, 3 * batch + 17) for seed in (43, 47)]
+        chunks = [
+            zipf_values(seed, shards * _COMBINE_WINDOW + 3 * batch + 17)
+            for seed in (43, 47)
+        ]
         counted = [(5, 40), (900, 3), (5, 2), (UNIVERSE - 1, 7), (900, 1)]
         with Profiler(
             config(), shards=shards, executor="serial", batch_size=batch
@@ -111,47 +163,90 @@ class TestColumnarRuntime:
             profiler.ingest(chunks[0])
             profiler.ingest_counted(counted)
             profiler.ingest(chunks[1])
+            live = [dump_tree(tree) for tree in profiler.shard_trees()]
             snapshot = profiler.snapshot()
 
-        # The oracle: one object tree per shard fed each part the way
-        # the runtime documents — a lone shard takes the raw chunk
-        # through extend(), several shards take their part of every
-        # chunk duplicate-combined; counted pairs are always combined.
         partitioner = make_partitioner("hash", shards, UNIVERSE)
-        trees = [
-            RapTree.from_config(config(backend="object"))
+        stages = [
+            IngestStage(RapTree.from_config(config(backend="columnar")))
             for _ in range(shards)
         ]
-
-        def combined(values, weights):
-            totals = {}
-            for value, weight in zip(values, weights):
-                totals[int(value)] = totals.get(int(value), 0) + int(weight)
-            return sorted(totals.items())
 
         def feed(values):
             for at in range(0, len(values), batch):
                 chunk = values[at:at + batch]
-                if shards == 1:
-                    trees[0].extend(chunk.tolist())
-                    continue
-                for tree, part in zip(trees, partitioner.split(chunk)):
+                for stage, part in zip(stages, partitioner.split(chunk)):
                     if len(part):
-                        tree.add_batch(combined(part, [1] * len(part)))
+                        stage.push(part)
+            for stage in stages:
+                stage.flush()
 
         feed(chunks[0])
-        for shard, tree in enumerate(trees):
+        for shard, stage in enumerate(stages):
             mine = [
                 pair for pair in counted
                 if partitioner.shard_of(pair[0]) == shard
             ]
             if mine:
-                tree.add_batch(combined(*zip(*mine)))
+                values, counts = (np.array(column) for column in zip(*mine))
+                stage.push(values, counts)
+            stage.flush()
         feed(chunks[1])
-        oracle = combine_many(trees)
-        assert type(oracle).__name__ == "RapTree"
+        assert live == [dump_tree(stage.tree) for stage in stages]
+        oracle = combine_many([stage.tree for stage in stages])
+        if shards == 1:
+            oracle = oracle.clone()
         assert dump_tree(snapshot) == dump_tree(oracle)
 
+
+class TestWindowEdges:
+    """Windows that mix dtypes or overflow the int64 counter domain."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_mixed_dtype_window_stays_integral(self, executor):
+        # Without a sync between them, the worker combines a uint64
+        # frame with int64 ones in one window.
+        with Profiler(config(), shards=2, executor=executor) as profiler:
+            profiler.ingest(np.arange(100, dtype=np.uint64))
+            profiler.ingest([1, 2, 3])
+            profiler.ingest_counted([(5, 3)])
+            snapshot = profiler.snapshot()
+        assert snapshot.events == 106
+        assert snapshot.estimate(0, UNIVERSE - 1) == 106
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_negative_value_in_a_mixed_window_hits_the_range_error(
+        self, executor
+    ):
+        with Profiler(config(), shards=1, executor=executor) as profiler:
+            profiler.ingest(np.arange(100, dtype=np.uint64))
+            if executor == "serial":
+                with pytest.raises(ValueError, match="outside universe"):
+                    profiler.ingest([4, -1])
+                return
+            profiler.ingest([4, -1])
+            with pytest.raises(RuntimeError, match="worker failed") as error:
+                profiler.drain()
+            assert "outside universe" in str(error.value.__cause__)
+            with pytest.raises(RuntimeError, match="shard worker failed"):
+                profiler.close()
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_summed_count_past_int64_is_refused(self, executor):
+        pairs = [(5, 2**62), (5, 2**62)]
+        with Profiler(config(), shards=2, executor=executor) as profiler:
+            if executor == "serial":
+                with pytest.raises(OverflowError, match="int64 counter"):
+                    profiler.ingest_counted(pairs)
+                assert profiler.snapshot().events == 0
+                return
+            profiler.ingest_counted(pairs)
+            with pytest.raises(RuntimeError, match="worker failed") as error:
+                profiler.drain()
+            cause = str(error.value.__cause__)
+            assert "OverflowError" in cause and "int64 counter" in cause
+            with pytest.raises(RuntimeError, match="shard worker failed"):
+                profiler.close()
 
 
 class TestNonIntegralInput:

@@ -7,7 +7,9 @@ on the exact count and undercounts by at most
 ``sum_i(epsilon * n_i) = epsilon * n``. These tests pin that bound on
 seeded zipf and phased streams for 1, 2, and 8 shards, check that the
 ``block``/``spill`` ring policies make process-executor ingestion a
-deterministic function of the stream, and run the acceptance scenario
+deterministic function of the stream — one the serial executor, which
+runs the same ingest stage, reproduces shard for shard — and run the
+acceptance scenario
 on both executors: a 4-shard profiler over a 200k-event zipf stream
 whose hot-range report agrees with a single-tree oracle within the
 documented bound.
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import RapConfig, RapTree, dump_tree
+from repro.core.combine import _COMBINE_WINDOW
 from repro.runtime import MIN_RING_BYTES, Profiler
 
 from tests.core.test_tree_fastpath import phased_stream, shape, zipf_stream
@@ -143,15 +146,47 @@ class TestProcessExecutorOracle:
         second = profiled_snapshot(values, 4, executor="process")
         assert dump_tree(first) == dump_tree(second)
 
-    def test_process_within_envelope_of_serial(self):
-        rng = random.Random(127)
-        values = zipf_stream(rng, UNIVERSE, 20_000)
-        serial = profiled_snapshot(values, 4, executor="serial")
-        process = profiled_snapshot(values, 4, executor="process")
-        budget = 2 * EPS * len(values)  # each side undercounts <= eps*n
-        for lo, hi in random_ranges(rng, 40):
-            delta = abs(process.estimate(lo, hi) - serial.estimate(lo, hi))
-            assert delta <= budget, (lo, hi)
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_process_shards_equal_serial(self, shards):
+        """One ingest stage, two places to run it: given the same calls,
+        each followed by a sync, serial and process shards are the same
+        trees. Every call crosses the combining window mid-call on every
+        shard, and raw and counted calls mix."""
+        rng = random.Random(127 + shards)
+        per_call = shards * (_COMBINE_WINDOW + 5_000)
+        calls = [
+            ("ingest", zipf_stream(rng, UNIVERSE, 2 * per_call)),
+            ("ingest_counted", [
+                (rng.randrange(UNIVERSE), rng.randrange(1, 9))
+                for _ in range(per_call // 4)
+            ]),
+            ("ingest", phased_stream(rng, UNIVERSE, per_call)),
+        ]
+
+        def run(executor):
+            config = RapConfig(UNIVERSE, epsilon=EPS)
+            dumps, shard_rows = [], []
+            with Profiler(
+                config, shards=shards, executor=executor
+            ) as profiler:
+                for method, data in calls:
+                    if method == "ingest":
+                        data = np.asarray(data, dtype=np.uint64)
+                    getattr(profiler, method)(data)
+                    dumps.append(dump_tree(profiler.snapshot()))
+                    shard_rows.append([
+                        (s.events, s.node_count, s.splits, s.merge_batches)
+                        for s in profiler.metrics.shards
+                    ])
+            return dumps, shard_rows
+
+        serial = run("serial")
+        assert run("process") == serial
+        shard_events = np.array(
+            [[row[0] for row in rows] for rows in serial[1]]
+        )
+        call_events = np.diff(shard_events, axis=0, prepend=0)
+        assert (call_events > _COMBINE_WINDOW).all()
 
 
 class TestSanitizedRuns:
